@@ -4,7 +4,7 @@ The pipeline: :mod:`~senserate.bitstream` supplies deterministic splittable
 bit streams; :mod:`~senserate.samplers` turns them into uniform, inverse-CDF,
 and Box-Muller Gaussian pairs; :mod:`~senserate.cdf` queries and audits the
 empirical joint distribution; :mod:`~senserate.normal` provides the
-quadrature-backed normal kernel (phi, Q, erfc); and
+normal kernel (phi, Q, erfc); and
 :mod:`~senserate.senseamp` cross-validates the sense-amplifier soft-error
 rate through closed-form, exact-CDF, and Monte Carlo routes.
 """
@@ -30,12 +30,9 @@ from .cdf import (
     samples_to_csv,
 )
 from .normal import (
-    QuadratureConfig,
-    QuadratureError,
     erfc,
     gaussian_upper_tail,
     phi,
-    q_from_quadrature,
     q_function,
     q_reference,
 )
@@ -89,10 +86,7 @@ __all__ = [
     "run_property_audit",
     "samples_to_csv",
     "samples_from_csv",
-    "QuadratureConfig",
-    "QuadratureError",
     "phi",
-    "q_from_quadrature",
     "q_function",
     "q_reference",
     "erfc",

@@ -42,13 +42,19 @@ def _word(seed: int, block: int) -> int:
     return _mix64((seed + (block + 1) * _GAMMA) & _MASK64)
 
 
+def _mix64_np(z: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_mix64` over uint64 values."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+        return z ^ (z >> np.uint64(31))
+
+
 def _words_np(seeds: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Vectorized :func:`_word`; `seeds` and `blocks` broadcast as uint64."""
     with np.errstate(over="ignore"):
         z = seeds + (blocks + np.uint64(1)) * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        return z ^ (z >> np.uint64(31))
+    return _mix64_np(z)
 
 
 def _validate_seed(seed: int) -> None:
@@ -155,8 +161,4 @@ def substream_seeds_np(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`substream_seed` over a uint64 index array."""
     _validate_seed(seed)
     words = _words_np(np.uint64(seed), indices.astype(np.uint64))
-    with np.errstate(over="ignore"):
-        z = words ^ np.uint64(_SUBSTREAM_SALT)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        return z ^ (z >> np.uint64(31))
+    return _mix64_np(words ^ np.uint64(_SUBSTREAM_SALT))

@@ -1,101 +1,28 @@
 """Standard-normal kernel: density, upper-tail probability, and erfc.
 
-The tail probability is computed by adaptive quadrature of the density, not
-by a rational approximation, so its accuracy is testable against an
-independent fixed-step rule (:func:`q_reference`).  For arguments in
-``[-8, 8]`` the density is integrated over ``[x, x + 40]``; the truncated
-remainder beyond ``x + 40`` is below ``phi(x + 40) / (x + 40) < 1e-300`` and
-is ignored.  For ``x > 8`` the same engine integrates the scaled tail form
-``Q(x) = phi(x) * I(x)`` with ``I(x) = int_0^T exp(-x*t - t^2/2) dt``, which
-stays relatively accurate down to where Q underflows float64 (x around 38).
-Negative arguments below -8 use the reflection ``Q(x) = 1 - Q(-x)``.
+The tail probability is ``Q(x) = erfc(x / sqrt(2)) / 2`` with the standard
+library's ``math.erfc``, which is computed directly for large arguments
+rather than as ``1 - erf``, so Q keeps its relative accuracy in the upper
+tail.  Arrays are evaluated element by element through the same scalar
+expression, so a batch entry is bitwise equal to the single call.
 
-Absolute accuracy is 1e-12 for ``|x| <= 8``, degrading to about 1e-12
-relative accuracy on the deep-tail branch.
+Accuracy is 1e-12 absolute on ``[-8, 8]`` and about 2e-13 relative out to
+where Q underflows float64 (x around 37.5).  :func:`q_reference`, a
+fixed-step composite-Simpson integral of the density, is the independent
+in-repo cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
 
-# switch to the scaled-tail quadrature beyond this argument
-_TAIL_SWITCH = 8.0
-# truncation span of the direct integral; remainder < phi(x+40)/(x+40)
+# truncation span of the reference integral; remainder < phi(x+40)/(x+40)
 _TRUNCATION_SPAN = 40.0
-# exp(-46) ~ 1e-20: relative cut for the scaled tail integrand
-_TAIL_LOG_CUT = 92.0
-
-# owners per engine pass; bounds transient memory for large batches
-_BATCH_CHUNK = 8192
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement hit max depth before reaching the tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy knobs for the adaptive quadrature."""
-
-    abs_tolerance: float = 1e-13
-    max_depth: int = 60
-
-    def __post_init__(self) -> None:
-        if self.abs_tolerance <= 0.0:
-            raise ValueError("abs_tolerance must be > 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
-
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1].  The 15-point Kronrod sum
-# is the panel value; its gap to the embedded 7-point Gauss sum is the error
-# estimate.
-_XGK = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-    ]
-)
-_WGK_CENTER = 0.209482141084727828012999174891714
-_WG = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-    ]
-)
-_WG_CENTER = 0.417959183673469387755102040816327
-
-_NODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])
-_KRONROD_W = np.concatenate([_WGK, [_WGK_CENTER], _WGK[::-1]])
-_GAUSS_W = np.zeros(15)
-_GAUSS_W[[1, 3, 5]] = _WG
-_GAUSS_W[7] = _WG_CENTER
-_GAUSS_W[[9, 11, 13]] = _WG[::-1]
 
 
 def phi(t):
@@ -105,153 +32,47 @@ def phi(t):
     return float(out) if out.ndim == 0 else out
 
 
-def _gk_adaptive(f, lo, hi, tol, max_depth, init_panels=8):
-    """Per-row adaptive Gauss-Kronrod integration.
-
-    ``f(t, owner)`` evaluates the integrand at abscissae ``t`` for the row
-    ids in ``owner`` (same shape, broadcastable).  Each row's absolute error
-    budget ``tol[row]`` is split across panels and halved on subdivision.
-    """
-    n = lo.size
-    out = np.zeros(n)
-    if n == 0:
-        return out
-    panels = np.arange(init_panels, dtype=np.float64)
-    owners = np.repeat(np.arange(n), init_panels)
-    width = np.repeat((hi - lo) / init_panels, init_panels)
-    a = np.repeat(lo, init_panels) + np.tile(panels, n) * width
-    b = a + width
-    budget = np.repeat(tol / init_panels, init_panels)
-    depth = np.zeros(owners.shape, dtype=np.int32)
-    while owners.size:
-        center = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        t = center[:, None] + half[:, None] * _NODES[None, :]
-        fv = f(t, owners[:, None])
-        kronrod = half * (fv @ _KRONROD_W)
-        gauss = half * (fv @ _GAUSS_W)
-        err = np.abs(kronrod - gauss)
-        done = (err <= budget) | (half <= 0.0)
-        stuck = ~done & (depth >= max_depth)
-        if np.any(stuck):
-            worst = float(np.max(err[stuck] - budget[stuck]))
-            raise QuadratureError(
-                f"quadrature did not reach tolerance at max depth {max_depth}"
-                f" ({int(np.count_nonzero(stuck))} subintervals, worst excess {worst:.3e})"
-            )
-        np.add.at(out, owners[done], kronrod[done])
-        keep = ~done
-        owners = np.concatenate([owners[keep], owners[keep]])
-        a, b = (
-            np.concatenate([a[keep], center[keep]]),
-            np.concatenate([center[keep], b[keep]]),
-        )
-        budget = np.concatenate([0.5 * budget[keep], 0.5 * budget[keep]])
-        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
-    return out
+def _elementwise(f, x):
+    """Apply the scalar ``f`` to a scalar or to each entry of an array."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("argument must be finite")
+    if arr.ndim == 0:
+        return f(float(arr))
+    return np.array([f(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
-def _integrate_rows(f, lo, hi, tol, max_depth):
-    """Chunked driver for :func:`_gk_adaptive`; rows are independent."""
-    n = lo.size
-    out = np.empty(n)
-    for start in range(0, n, _BATCH_CHUNK):
-        stop = min(start + _BATCH_CHUNK, n)
-
-        def f_chunk(t, owner, _base=start):
-            return f(t, owner + _base)
-
-        out[start:stop] = _gk_adaptive(
-            f_chunk, lo[start:stop], hi[start:stop], tol[start:stop], max_depth
-        )
-    return out
+def _q_scalar(x: float) -> float:
+    return 0.5 * math.erfc(x / SQRT_2)
 
 
-def _phi_rows(t, owner):
-    return INV_SQRT_2PI * np.exp(-0.5 * t * t)
-
-
-def q_from_quadrature(a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
-    """Definite integral of the standard normal density over ``[a, b]``."""
-    cfg = cfg or DEFAULT_CONFIG
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite")
-    if a > b:
-        raise ValueError(f"integration bounds need a <= b, got a={a!r}, b={b!r}")
-    if a == b:
-        return 0.0
-    value = _gk_adaptive(
-        _phi_rows,
-        np.array([float(a)]),
-        np.array([float(b)]),
-        np.array([cfg.abs_tolerance]),
-        cfg.max_depth,
-    )
-    return float(value[0])
-
-
-def _q_direct(xs: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    tol = np.full(xs.shape, cfg.abs_tolerance)
-    return _integrate_rows(_phi_rows, xs, xs + _TRUNCATION_SPAN, tol, cfg.max_depth)
-
-
-def _q_tail(xs: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    # Q(x) = phi(x) * int_0^T exp(-x*t - t^2/2) dt; T solves x*T + T^2/2 = 46
-    cut = -xs + np.sqrt(xs * xs + _TAIL_LOG_CUT)
-
-    def integrand(t, owner):
-        return np.exp(-xs[owner] * t - 0.5 * t * t)
-
-    tol = np.full(xs.shape, cfg.abs_tolerance)
-    scaled = _integrate_rows(integrand, np.zeros(xs.shape), cut, tol, cfg.max_depth)
-    return phi(xs) * scaled
-
-
-def q_function(x, cfg: QuadratureConfig | None = None):
+def q_function(x):
     """Upper-tail probability P(Z > x) of the standard normal.
 
     Accepts scalars or arrays.  Mathematically strictly inside (0, 1) for
     finite input; in float64 the result saturates at 1.0 once x is below
-    about -38 (the complement underflows).
+    about -38 and underflows to 0.0 once x is above about 37.5.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("argument must be finite")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty(flat.shape)
-    low = flat < -_TAIL_SWITCH
-    high = flat > _TAIL_SWITCH
-    mid = ~(low | high)
-    if np.any(mid):
-        out[mid] = _q_direct(flat[mid], cfg)
-    if np.any(high):
-        out[high] = _q_tail(flat[high], cfg)
-    if np.any(low):
-        out[low] = 1.0 - _q_tail(-flat[low], cfg)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _elementwise(_q_scalar, x)
 
 
-def erfc(x, cfg: QuadratureConfig | None = None):
-    """Complementary error function, evaluated as ``2 * Q(sqrt(2) * x)``."""
-    q = q_function(SQRT_2 * np.asarray(x, dtype=np.float64), cfg)
-    return 2.0 * q
+def erfc(x):
+    """Complementary error function; accepts scalars or arrays."""
+    return _elementwise(math.erfc, x)
 
 
-def gaussian_upper_tail(z: float, mu: float, sigma: float, cfg: QuadratureConfig | None = None) -> float:
+def gaussian_upper_tail(z: float, mu: float, sigma: float) -> float:
     """P(V > z) for V Gaussian with mean ``mu`` and deviation ``sigma``."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    return float(q_function((z - mu) / sigma, cfg))
+    return float(q_function((z - mu) / sigma))
 
 
 def q_reference(x: float, step: float = 5e-4) -> float:
     """Fixed-step composite-Simpson cross-check for :func:`q_function`.
 
-    Deliberately a different rule from the adaptive Gauss-Kronrod primary;
-    slow but simple.  Accurate to well below 1e-10 absolute for |x| <= 8.
+    Deliberately a different method from the erfc-based primary; slow but
+    simple.  Accurate to well below 1e-10 absolute for |x| <= 8.
     """
     if not math.isfinite(x):
         raise ValueError("argument must be finite")

@@ -90,6 +90,8 @@ class RvPairSpec:
             raise ValueError(f"unknown pair kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
+        if not all(math.isfinite(v) for v in p):
+            raise ValueError(f"params must be finite, got {p!r}")
         if self.kind == STANDARD_UNIFORM_PAIR and p:
             raise ValueError("standard uniform pair takes no parameters")
         if self.kind == GAUSSIAN_PAIR:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import normal
 from .bitstream import substream_seed
-from .normal import SQRT_2, QuadratureConfig
+from .normal import SQRT_2
 from .samplers import RvPairSpec, draw_indices
 
 _PARAM_KEYS = ("v_low", "v_high", "noise_sigma", "delta", "chi")
@@ -58,6 +58,9 @@ class SenseAmpParams:
     chi: float
 
     def __post_init__(self) -> None:
+        for key, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.v_low <= 0.0:
             raise ValueError(f"v_low must be > 0, got {self.v_low!r}")
         if self.v_high <= 0.0:
@@ -129,9 +132,7 @@ class SerResult:
         }
 
 
-def detection_error_probs(
-    params: SenseAmpParams, cfg: QuadratureConfig | None = None
-) -> tuple[float, float]:
+def detection_error_probs(params: SenseAmpParams) -> tuple[float, float]:
     """(P[stored 0 read as 1], P[stored 1 read as 0]) under the noise model.
 
     Line 1 (mean ``-v_low``) errs when it exceeds the lower band edge
@@ -141,35 +142,34 @@ def detection_error_probs(
     sigma = params.noise_sigma
     half_width = 0.5 * params.insensitivity_width
     center = params.center_deviation
-    p_low_as_high = normal.q_function((center - half_width + params.v_low) / sigma, cfg)
-    p_high_as_low = 1.0 - normal.q_function((center + half_width - params.v_high) / sigma, cfg)
+    p_low_as_high = normal.q_function((center - half_width + params.v_low) / sigma)
+    # P[V2 <= edge] as an upper tail by symmetry; 1 - Q would cancel
+    p_high_as_low = normal.q_function((params.v_high - center - half_width) / sigma)
     return float(p_low_as_high), float(p_high_as_low)
 
 
-def ser_probabilistic(params: SenseAmpParams, cfg: QuadratureConfig | None = None) -> float:
+def ser_probabilistic(params: SenseAmpParams) -> float:
     """Soft error rate as the equal-weight average of the two error events.
 
     Evaluated through the exact Gaussian CDF; valid for any parameter
     combination, symmetric or not.
     """
-    p1, p2 = detection_error_probs(params, cfg)
+    p1, p2 = detection_error_probs(params)
     return 0.5 * (p1 + p2)
 
 
-def _analytical_terms(
-    params: SenseAmpParams, cfg: QuadratureConfig | None = None
-) -> tuple[float, float]:
+def _analytical_terms(params: SenseAmpParams) -> tuple[float, float]:
     sigma = params.noise_sigma
     term_high = 0.25 * normal.erfc(
-        params.v_high / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta + params.chi), cfg
+        params.v_high / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta + params.chi)
     )
     term_low = 0.25 * normal.erfc(
-        params.v_low / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta - params.chi), cfg
+        params.v_low / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta - params.chi)
     )
     return float(term_high), float(term_low)
 
 
-def ser_analytical(params: SenseAmpParams, cfg: QuadratureConfig | None = None) -> float:
+def ser_analytical(params: SenseAmpParams) -> float:
     """Closed erfc form of the soft error rate (symmetric levels only).
 
     Requires ``v_low == v_high``; the closed form is derived under that
@@ -180,7 +180,7 @@ def ser_analytical(params: SenseAmpParams, cfg: QuadratureConfig | None = None) 
             "closed-form rate is defined for symmetric levels (v_low == v_high);"
             " use ser_probabilistic for asymmetric parameters"
         )
-    term_high, term_low = _analytical_terms(params, cfg)
+    term_high, term_low = _analytical_terms(params)
     return term_high + term_low
 
 
@@ -221,12 +221,7 @@ def ser_monte_carlo(
     return estimate, stderr
 
 
-def evaluate(
-    params: SenseAmpParams,
-    n_samples: int,
-    seed: int,
-    cfg: QuadratureConfig | None = None,
-) -> SerResult:
+def evaluate(params: SenseAmpParams, n_samples: int, seed: int) -> SerResult:
     """All evaluation routes for one parameter point.
 
     Monte Carlo is skipped (``analytical_only``) when the closed-form rate
@@ -235,8 +230,8 @@ def evaluate(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    exact = ser_probabilistic(params, cfg)
-    analytical = ser_analytical(params, cfg) if params.v_low == params.v_high else None
+    exact = ser_probabilistic(params)
+    analytical = ser_analytical(params) if params.v_low == params.v_high else None
     reference = exact if analytical is None else analytical
     if reference < DEEP_TAIL_CUTOFF:
         return SerResult(
@@ -277,7 +272,6 @@ def sweep(
     values: list[float],
     n_samples: int,
     seed: int,
-    cfg: QuadratureConfig | None = None,
 ) -> list[tuple[float, SerResult]]:
     """Evaluate a parameter sweep; one row per value, order preserved.
 
@@ -302,7 +296,7 @@ def sweep(
             stacklevel=2,
         )
     return [
-        (value, evaluate(point, n_samples, substream_seed(seed, row), cfg))
+        (value, evaluate(point, n_samples, substream_seed(seed, row)))
         for row, (value, point) in enumerate(points)
     ]
 

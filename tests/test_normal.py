@@ -5,15 +5,9 @@ import pytest
 from scipy.special import ndtr
 
 from senserate.normal import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    QuadratureError,
-    _GAUSS_W,
-    _KRONROD_W,
     erfc,
     gaussian_upper_tail,
     phi,
-    q_from_quadrature,
     q_function,
     q_reference,
 )
@@ -23,11 +17,6 @@ from senserate.normal import (
 Q1 = 0.15865525393145705
 Q3 = 0.0013498980316300945
 ERFC1 = 0.15729920705028513
-
-
-def test_kronrod_weights_normalized():
-    assert abs(_KRONROD_W.sum() - 2.0) < 1e-14
-    assert abs(_GAUSS_W.sum() - 2.0) < 1e-14
 
 
 def test_phi_at_zero():
@@ -49,30 +38,6 @@ def test_phi_accepts_arrays():
     vals = phi(t)
     assert vals.shape == (3,)
     assert vals[0] == vals[2]
-
-
-def test_quadrature_empty_interval():
-    assert q_from_quadrature(2.0, 2.0) == 0.0
-
-
-def test_quadrature_normalization():
-    assert abs(q_from_quadrature(-8.0, 8.0) - 1.0) < 1e-12
-    assert abs(q_from_quadrature(0.0, 8.0) - 0.5) < 1e-12
-
-
-def test_quadrature_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        q_from_quadrature(1.0, 0.0)
-    with pytest.raises(ValueError):
-        q_from_quadrature(0.0, math.inf)
-
-
-def test_quadrature_convergence_error():
-    # a tolerance below the rounding floor of the error estimate cannot be
-    # met at any depth; a small depth cap makes the failure fast
-    cfg = QuadratureConfig(abs_tolerance=1e-18, max_depth=3)
-    with pytest.raises(QuadratureError):
-        q_from_quadrature(-8.0, 8.0, cfg)
 
 
 def test_q_at_zero():
@@ -117,12 +82,12 @@ def test_q_derivative_matches_density():
 
 
 def test_q_deep_tail_relative_accuracy():
-    # scaled-tail branch: compare against scipy's erfc-based normal CDF
-    for x in (8.5, 10.0, 15.0, 20.0, 30.0, 37.0):
+    # relative, not absolute: DRAM error rates live at 1e-12 to 1e-30
+    for x in (4.0, 7.9, 8.0, 8.5, 10.0, 15.0, 20.0, 30.0, 37.0):
         mine = q_function(x)
         ref = float(ndtr(-x))
         assert mine > 0.0
-        assert abs(mine / ref - 1.0) < 1e-10
+        assert abs(mine / ref - 1.0) < 1e-12
 
 
 def test_q_array_matches_scalar_bitwise():
@@ -166,15 +131,6 @@ def test_gaussian_upper_tail():
     assert gaussian_upper_tail(3.5, 2.0, 0.5) == q_function(3.0)
     with pytest.raises(ValueError):
         gaussian_upper_tail(0.0, 0.0, 0.0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tolerance=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
-    assert DEFAULT_CONFIG.abs_tolerance == 1e-13
-    assert DEFAULT_CONFIG.max_depth == 60
 
 
 def test_scipy_cross_check_midrange():

@@ -255,6 +255,16 @@ def test_spec_validation():
         RvPairSpec("no-such-kind")
     with pytest.raises(ValueError):
         RvPairSpec.standard_uniform(truncation_bits=0)
+    for spec in (
+        lambda: RvPairSpec.gaussian(math.nan, 1.0),
+        lambda: RvPairSpec.gaussian(0.0, math.inf),
+        lambda: RvPairSpec.uniform(0.0, math.inf),
+        lambda: RvPairSpec.exponential(math.nan),
+        lambda: RvPairSpec.rayleigh(math.inf),
+        lambda: RvPairSpec.triangular(-math.inf, 1.0),
+    ):
+        with pytest.raises(ValueError, match="params must be finite"):
+            spec()
 
 
 def test_gaussian_pair_type_carries_parameters():
