@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstream import BitStream, SplitStreams, _words_np, substream_seeds_np
-from .cdf import SamplePairs
+from .cdf import BLOCK_PAIRS, SamplePairs
 
 # float64 holds integers up to 2**53 exactly; deeper truncations would make
 # the dyadic-value invariants unrepresentable
@@ -281,27 +281,84 @@ def _triangular_itm(lo, hi, u):
     return np.where(u < 0.5, lower, upper)
 
 
+# (shift, mask) steps that pack bits 0, 2, ..., 62 of a word into bits 0..31
+_EVEN_BITS = np.uint64(0x5555555555555555)
+_GATHER_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (1, 0x3333333333333333),
+        (2, 0x0F0F0F0F0F0F0F0F),
+        (4, 0x00FF00FF00FF00FF),
+        (8, 0x0000FFFF0000FFFF),
+        (16, 0x00000000FFFFFFFF),
+    )
+)
+# (shift, mask) swaps of adjacent bits, bit pairs and nibbles: reverses the
+# bits within each byte
+_BYTE_REVERSE_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (1, 0x5555555555555555),
+        (2, 0x3333333333333333),
+        (4, 0x0F0F0F0F0F0F0F0F),
+    )
+)
+
+
+def _even_odd_halves(w: np.ndarray) -> np.ndarray:
+    """Rows (even bits of ``w``, odd bits of ``w``), each packed into 32 bits.
+
+    Bit ``k`` of row 0 is bit ``2k`` of the word and bit ``k`` of row 1 is
+    bit ``2k + 1``: the odd bits are the even bits of ``w >> 1``.
+    """
+    x = np.stack((w, w >> np.uint64(1)))
+    x &= _EVEN_BITS
+    t = np.empty_like(x)
+    for shift, mask in _GATHER_STEPS:
+        np.right_shift(x, shift, out=t)
+        x |= t
+        x &= mask
+    return x
+
+
+def _reverse64(x: np.ndarray) -> np.ndarray:
+    """Reverse the bit order of each 64-bit word in place.
+
+    The three in-byte swap steps are followed by a byte swap, which does
+    the remaining three (bytes, 16-bit halves, 32-bit halves) in one pass.
+    """
+    t = np.empty_like(x)
+    for shift, mask in _BYTE_REVERSE_STEPS:
+        np.right_shift(x, shift, out=t)
+        t &= mask
+        x &= mask
+        x <<= shift
+        x |= t
+    return x.byteswap(inplace=True)
+
+
 def _pair_uniforms(subseeds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Even/odd depth-``n`` uniforms for each derived stream, vectorized.
 
-    Equivalent to ``std_unif_pair(BitStream(seed), n)`` per entry: the first
-    ``2n`` bits of each stream live in its first two 64-bit words, and the
-    even/odd expansions are assembled with exact integer arithmetic.
+    Equivalent to ``std_unif_pair(BitStream(seed), n)`` per entry.  The first
+    ``2n`` bits of a stream live in its first two 64-bit words ``w0, w1``.
+    A branch-free unshuffle (Warren, *Hacker's Delight*, ch. 7) packs the
+    even and the odd bits of ``w0`` into 32 bits each; for ``n > 32`` those
+    of ``w1`` are ORed in above them.  Bit ``k`` of a packed half is then
+    the half-stream's ``k``-th bit, which the expansion weights
+    ``2**-(k+1)``, so a 64-bit bit reversal (swap steps, same chapter)
+    followed by a shift right by ``64 - n`` gives the integer numerator
+    over ``2**n``.  The pass count is fixed whatever ``n``.
     """
-    w0 = _words_np(subseeds, np.uint64(0))
-    w1 = _words_np(subseeds, np.uint64(1))
-    m1 = np.zeros(subseeds.shape, dtype=np.uint64)
-    m2 = np.zeros(subseeds.shape, dtype=np.uint64)
-    one = np.uint64(1)
-    for k in range(n):
-        j1, j2 = 2 * k, 2 * k + 1
-        b1 = (w0 >> np.uint64(j1)) & one if j1 < 64 else (w1 >> np.uint64(j1 - 64)) & one
-        b2 = (w0 >> np.uint64(j2)) & one if j2 < 64 else (w1 >> np.uint64(j2 - 64)) & one
-        m1 = (m1 << one) | b1
-        m2 = (m2 << one) | b2
-    u1 = np.ldexp(m1.astype(np.float64), -n)
-    u2 = np.ldexp(m2.astype(np.float64), -n)
-    return u1, u2
+    halves = _even_odd_halves(_words_np(subseeds, np.uint64(0)))
+    if n > 32:
+        high = _even_odd_halves(_words_np(subseeds, np.uint64(1)))
+        high <<= np.uint64(32)
+        halves |= high
+    m = _reverse64(halves)
+    m >>= np.uint64(64 - n)
+    u = np.ldexp(m.astype(np.float64), -n)
+    return u[0], u[1]
 
 
 def _transform_pair(spec: RvPairSpec, u1, u2):
@@ -332,12 +389,18 @@ def draw_indices(spec: RvPairSpec, seed: int, indices: np.ndarray) -> tuple[np.n
     """Pairs for the given batch indices under ``(spec, seed)``.
 
     Entry ``i`` depends only on ``(seed, indices[i])``, so any partition of
-    an index range reproduces the unpartitioned result exactly.
+    an index range reproduces the unpartitioned result exactly.  The
+    indices are drawn :data:`~senserate.cdf.BLOCK_PAIRS` at a time into
+    preallocated outputs, so every temporary stays block-sized.
     """
-    subseeds = substream_seeds_np(seed, indices)
-    u1, u2 = _pair_uniforms(subseeds, spec.truncation_bits)
-    x1, x2 = _transform_pair(spec, u1, u2)
-    return np.asarray(x1, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    x1 = np.empty(indices.shape, dtype=np.float64)
+    x2 = np.empty(indices.shape, dtype=np.float64)
+    for start in range(0, len(indices), BLOCK_PAIRS):
+        block = slice(start, start + BLOCK_PAIRS)
+        subseeds = substream_seeds_np(seed, indices[block])
+        u1, u2 = _pair_uniforms(subseeds, spec.truncation_bits)
+        x1[block], x2[block] = _transform_pair(spec, u1, u2)
+    return x1, x2
 
 
 def sample_many(spec: RvPairSpec, count: int, seed: int) -> SamplePairs:

@@ -29,7 +29,7 @@ import numpy as np
 from . import normal
 from .bitstream import substream_seed
 from .normal import SQRT_2
-from .samplers import RvPairSpec, draw_indices
+from .samplers import BLOCK_PAIRS, RvPairSpec, draw_indices
 
 _PARAM_KEYS = ("v_low", "v_high", "noise_sigma", "delta", "chi")
 
@@ -195,7 +195,12 @@ def ser_monte_carlo(
     Each trial draws one standard Gaussian pair from the derived stream of
     ``(seed, trial)`` and shifts the components onto the two line levels.
     Trials depend only on their own index, so partitioning the trial range
-    (``chunk_size``) cannot change the estimate.
+    (``chunk_size``, by default :data:`~senserate.cdf.BLOCK_PAIRS`) cannot
+    change the estimate; the default keeps memory bounded at any
+    ``n_samples``.  The estimate is the mean of ``2 * n_samples`` Bernoulli
+    trials, ``n_samples`` per line, and the standard error is that of the
+    mean: ``sqrt((p1 (1 - p1) + p2 (1 - p2)) / (4 n))`` with ``p1``, ``p2``
+    the per-line hit fractions.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
@@ -205,7 +210,7 @@ def ser_monte_carlo(
     sigma = params.noise_sigma
     low_edge = params.center_deviation - 0.5 * params.insensitivity_width
     high_edge = params.center_deviation + 0.5 * params.insensitivity_width
-    step = chunk_size or n_samples
+    step = chunk_size or BLOCK_PAIRS
     hits_low = 0
     hits_high = 0
     for start in range(0, n_samples, step):
@@ -217,7 +222,9 @@ def ser_monte_carlo(
         hits_low += int(np.count_nonzero(v1 > low_edge))
         hits_high += int(np.count_nonzero(v2 <= high_edge))
     estimate = (hits_low + hits_high) / (2 * n_samples)
-    stderr = math.sqrt(estimate * (1.0 - estimate) / n_samples)
+    p1 = hits_low / n_samples
+    p2 = hits_high / n_samples
+    stderr = math.sqrt((p1 * (1.0 - p1) + p2 * (1.0 - p2)) / (4 * n_samples))
     return estimate, stderr
 
 

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from senserate.bitstream import from_seed, substream
+from senserate.cdf import BLOCK_PAIRS
 from senserate.samplers import (
     GaussianPair,
     RvPairSpec,
     box_muller,
+    draw_indices,
     exponential_rv,
     gaussian_pair,
     rayleigh_rv,
@@ -219,6 +221,47 @@ def test_sample_many_batch_matches_per_index_scalar_draws():
         direct = std_gaussian_pair(substream(7, i))
         assert batch.x1[i] == direct.g1
         assert batch.x2[i] == direct.g2
+
+
+def test_draw_indices_matches_scalar_pairs_at_every_depth():
+    # depths 32 and 33 straddle the second word of each stream
+    seed = 0xDEADBEEF
+    indices = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
+               1 << 16, (1 << 16) + 1, 1 << 32, (1 << 40) + 7, (1 << 62) - 1,
+               (1 << 63) + 12345, (1 << 64) - 2, (1 << 64) - 1]
+    idx = np.array(indices, dtype=np.uint64)
+    for n in range(1, 54):
+        x1, x2 = draw_indices(RvPairSpec.standard_uniform(n), seed, idx)
+        for k, i in enumerate(indices):
+            (u1, u2), _ = std_unif_pair(substream(seed, i), n)
+            assert (x1[k], x2[k]) == (u1, u2), (n, i)
+
+
+def _draws_in_small_calls(spec, seed, idx, size=1000):
+    """Reference draws from calls shorter than one block."""
+    parts = [draw_indices(spec, seed, idx[s : s + size]) for s in range(0, len(idx), size)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def test_draw_indices_is_unchanged_across_block_boundaries():
+    spec = RvPairSpec.gaussian(0.5, 2.0)
+    seed = 11
+    longest = np.arange(3 * BLOCK_PAIRS + 5, dtype=np.uint64)
+    ref1, ref2 = _draws_in_small_calls(spec, seed, longest)
+    for size in (BLOCK_PAIRS - 1, BLOCK_PAIRS, BLOCK_PAIRS + 1, 3 * BLOCK_PAIRS + 5):
+        x1, x2 = draw_indices(spec, seed, longest[:size])
+        assert np.array_equal(x1, ref1[:size]) and np.array_equal(x2, ref2[:size]), size
+    for i in (BLOCK_PAIRS - 1, BLOCK_PAIRS, 2 * BLOCK_PAIRS, 3 * BLOCK_PAIRS + 4):
+        direct = gaussian_pair(0.5, 2.0, substream(seed, i))
+        assert (ref1[i], ref2[i]) == (direct.g1, direct.g2), i
+
+    shifted = np.arange(70_000, 140_007, dtype=np.uint64)
+    x1, x2 = draw_indices(spec, seed, shifted)
+    ref1, ref2 = _draws_in_small_calls(spec, seed, shifted)
+    assert np.array_equal(x1, ref1) and np.array_equal(x2, ref2)
+    for k in (0, BLOCK_PAIRS - 1, BLOCK_PAIRS, len(shifted) - 1):
+        direct = gaussian_pair(0.5, 2.0, substream(seed, int(shifted[k])))
+        assert (x1[k], x2[k]) == (direct.g1, direct.g2), k
 
 
 def test_sample_many_deterministic():

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from senserate.bitstream import substream_seed
 from senserate.normal import q_function, q_reference
+from senserate.samplers import RvPairSpec, sample_many
 from senserate.senseamp import (
     DEEP_TAIL_CUTOFF,
     SenseAmpParams,
@@ -180,11 +182,28 @@ def test_monte_carlo_chunking_is_invisible():
     assert whole == chunked
 
 
+def test_monte_carlo_memory_is_bounded():
+    p = params(v=1.0, delta=0.2, chi=0.1)
+    tracemalloc.start()
+    try:
+        default = ser_monte_carlo(p, 1_000_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one million trials held at once would take about 80 MB
+    assert peak <= 16 * 2**20, peak
+    assert default == ser_monte_carlo(p, 1_000_000, 1, chunk_size=1_000_000)
+
+
 def test_monte_carlo_covers_true_rate():
     p = params(v=1.0)
     estimate, stderr = ser_monte_carlo(p, 100_000, 42)
     assert abs(estimate - Q1) <= 4.0 * stderr
-    assert stderr == math.sqrt(estimate * (1.0 - estimate) / 100_000)
+    # the estimate averages 2n Bernoulli trials: n per line, each at its own rate
+    g = sample_many(RvPairSpec.gaussian(0.0, 1.0), 100_000, 42)
+    p1 = np.count_nonzero(-1.0 + g.x1 > 0.0) / 100_000
+    p2 = np.count_nonzero(1.0 + g.x2 <= 0.0) / 100_000
+    assert stderr == math.sqrt((p1 * (1.0 - p1) + p2 * (1.0 - p2)) / (4 * 100_000))
 
 
 def _consistency_grid():
