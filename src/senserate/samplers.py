@@ -343,18 +343,18 @@ def _pair_uniforms(subseeds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     Equivalent to ``std_unif_pair(BitStream(seed), n)`` per entry.  The first
     ``2n`` bits of a stream live in its first two 64-bit words ``w0, w1``.
     A branch-free unshuffle (Warren, *Hacker's Delight*, ch. 7) packs the
-    even and the odd bits of ``w0`` into 32 bits each; for ``n > 32`` those
-    of ``w1`` are ORed in above them.  Bit ``k`` of a packed half is then
-    the half-stream's ``k``-th bit, which the expansion weights
-    ``2**-(k+1)``, so a 64-bit bit reversal (swap steps, same chapter)
-    followed by a shift right by ``64 - n`` gives the integer numerator
-    over ``2**n``.  The pass count is fixed whatever ``n``.
+    even and the odd bits of ``w0`` into 32 bits each, and those of ``w1``
+    are ORed in above them.  Bit ``k`` of a packed half is then the
+    half-stream's ``k``-th bit, which the expansion weights ``2**-(k+1)``,
+    so a 64-bit bit reversal (swap steps, same chapter) followed by a shift
+    right by ``64 - n`` gives the integer numerator over ``2**n``; for
+    ``n <= 32`` that shift drops the bits from ``w1``.  The passes are the
+    same whatever ``n``.
     """
     halves = _even_odd_halves(_words_np(subseeds, np.uint64(0)))
-    if n > 32:
-        high = _even_odd_halves(_words_np(subseeds, np.uint64(1)))
-        high <<= np.uint64(32)
-        halves |= high
+    high = _even_odd_halves(_words_np(subseeds, np.uint64(1)))
+    high <<= np.uint64(32)
+    halves |= high
     m = _reverse64(halves)
     m >>= np.uint64(64 - n)
     u = np.ldexp(m.astype(np.float64), -n)
