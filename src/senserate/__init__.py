@@ -11,7 +11,7 @@ rate through closed-form, exact-CDF, and Monte Carlo routes.
 
 __version__ = "0.1.0"
 
-from .bitstream import BitStream, SplitStreams, from_seed, substream, substream_seed
+from .bitstream import BitStream, from_seed, substream, substream_seed
 from .cdf import (
     IndependenceReport,
     PropertyCheck,
@@ -31,7 +31,6 @@ from .cdf import (
 )
 from .normal import (
     erfc,
-    gaussian_upper_tail,
     phi,
     q_function,
     q_reference,
@@ -39,18 +38,10 @@ from .normal import (
 from .samplers import (
     GaussianPair,
     RvPairSpec,
-    UniformSample,
     box_muller,
-    exponential_rv,
     gaussian_pair,
-    rayleigh_rv,
     sample_many,
-    std_gaussian_pair,
-    std_unif_cont,
-    std_unif_disc,
     std_unif_pair,
-    triangular_rv,
-    uniform_rv,
 )
 from .senseamp import (
     SenseAmpParams,
@@ -67,7 +58,6 @@ from .senseamp import (
 __all__ = [
     "__version__",
     "BitStream",
-    "SplitStreams",
     "from_seed",
     "substream",
     "substream_seed",
@@ -90,19 +80,10 @@ __all__ = [
     "q_function",
     "q_reference",
     "erfc",
-    "gaussian_upper_tail",
-    "UniformSample",
     "GaussianPair",
     "RvPairSpec",
     "box_muller",
-    "std_unif_disc",
-    "std_unif_cont",
-    "uniform_rv",
-    "exponential_rv",
-    "rayleigh_rv",
-    "triangular_rv",
     "std_unif_pair",
-    "std_gaussian_pair",
     "gaussian_pair",
     "sample_many",
     "SenseAmpParams",

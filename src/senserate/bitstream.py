@@ -113,25 +113,18 @@ class BitStream:
         bits = ((words >> (j & np.uint64(63))) & np.uint64(1)).astype(np.uint8)
         return bits, replace(self, cursor=self.cursor + n)
 
-    def split_even_odd(self) -> "SplitStreams":
+    def split_even_odd(self) -> tuple["BitStream", "BitStream"]:
         """Split the unread remainder into its even- and odd-indexed halves.
 
-        Both children start at cursor 0; child position ``k`` reads the
-        parent's position ``cursor + 2k`` (even) or ``cursor + 2k + 1`` (odd),
-        so the two address disjoint root indices.  The parent stays readable.
+        Returns ``(even, odd)``, both at cursor 0: child position ``k`` reads
+        the parent's position ``cursor + 2k`` (even) or ``cursor + 2k + 1``
+        (odd), so the two address disjoint root indices.  The parent stays
+        readable.
         """
         base = self.offset + self.stride * self.cursor
         even = BitStream(self.seed, self.stride * 2, base, 0)
         odd = BitStream(self.seed, self.stride * 2, base + self.stride, 0)
-        return SplitStreams(even=even, odd=odd)
-
-
-@dataclass(frozen=True)
-class SplitStreams:
-    """The even/odd halves produced by :meth:`BitStream.split_even_odd`."""
-
-    even: BitStream
-    odd: BitStream
+        return even, odd
 
 
 def from_seed(seed: int) -> BitStream:

@@ -61,13 +61,6 @@ def erfc(x):
     return _elementwise(math.erfc, x)
 
 
-def gaussian_upper_tail(z: float, mu: float, sigma: float) -> float:
-    """P(V > z) for V Gaussian with mean ``mu`` and deviation ``sigma``."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    return float(q_function((z - mu) / sigma))
-
-
 def q_reference(x: float, step: float = 5e-4) -> float:
     """Fixed-step composite-Simpson cross-check for :func:`q_function`.
 

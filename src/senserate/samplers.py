@@ -4,12 +4,14 @@ Uniform values are truncated binary expansions: depth ``n`` reads ``n`` bits
 ``X_0 .. X_{n-1}`` and forms ``sum_k X_k * 2**-(k+1)``, an exact dyadic
 rational in ``[0, 1 - 2**-n]``.  Pairs split one stream into its even/odd
 halves and expand each half independently, so the two components never share
-a bit.  On top of that sit inverse-transform variates (uniform, exponential,
-rayleigh, triangular) and Box-Muller standard/affine Gaussian pairs.
+a bit.  An :class:`RvPairSpec` maps the uniform pair to one of six kinds: the
+standard uniform pair itself, inverse-transform variates (uniform,
+exponential, rayleigh, triangular) and Box-Muller affine Gaussian pairs.
 
-Scalar draws and :func:`sample_many` batches share the same numeric kernels,
-so a batch entry is bit-identical to the corresponding single draw from its
-derived stream.
+:func:`std_unif_pair` and :func:`gaussian_pair` are the scalar, bit-by-bit
+reference; :func:`sample_many` batches use a vectorized kernel.  Both share
+the transform table, so a batch entry is bit-identical to the corresponding
+single draw from its derived stream.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import BitStream, SplitStreams, _words_np, substream_seeds_np
+from .bitstream import BitStream, _words_np, substream_seeds_np
 from .cdf import BLOCK_PAIRS, SamplePairs
 
 # float64 holds integers up to 2**53 exactly; deeper truncations would make
@@ -27,37 +29,12 @@ from .cdf import BLOCK_PAIRS, SamplePairs
 MAX_TRUNCATION_BITS = 53
 DEFAULT_TRUNCATION_BITS = 52
 
-STANDARD_UNIFORM_PAIR = "standard-uniform-pair"
-GAUSSIAN_PAIR = "gaussian-pair"
-UNIFORM_PAIR = "uniform-pair"
-EXPONENTIAL_PAIR = "exponential-pair"
-RAYLEIGH_PAIR = "rayleigh-pair"
-TRIANGULAR_PAIR = "triangular-pair"
-
-_KINDS = (
-    STANDARD_UNIFORM_PAIR,
-    GAUSSIAN_PAIR,
-    UNIFORM_PAIR,
-    EXPONENTIAL_PAIR,
-    RAYLEIGH_PAIR,
-    TRIANGULAR_PAIR,
-)
-
 
 def _check_depth(n: int) -> None:
     if not 1 <= n <= MAX_TRUNCATION_BITS:
         raise ValueError(
             f"truncation depth must be in [1, {MAX_TRUNCATION_BITS}], got {n!r}"
         )
-
-
-@dataclass(frozen=True)
-class UniformSample:
-    """A truncated-expansion uniform value plus the advanced stream."""
-
-    value: float
-    bits_used: int
-    remaining: BitStream
 
 
 @dataclass(frozen=True)
@@ -86,141 +63,70 @@ class RvPairSpec:
 
     def __post_init__(self) -> None:
         _check_depth(self.truncation_bits)
-        if self.kind not in _KINDS:
+        if self.kind not in _PAIR_KINDS:
             raise ValueError(f"unknown pair kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
         if not all(math.isfinite(v) for v in p):
             raise ValueError(f"params must be finite, got {p!r}")
-        if self.kind == STANDARD_UNIFORM_PAIR and p:
-            raise ValueError("standard uniform pair takes no parameters")
-        if self.kind == GAUSSIAN_PAIR:
-            if len(p) != 2 or p[1] <= 0.0:
-                raise ValueError("gaussian pair needs (mu, sigma) with sigma > 0")
-        if self.kind == UNIFORM_PAIR:
-            if len(p) != 2 or not p[0] < p[1]:
-                raise ValueError("uniform pair needs (a, b) with a < b")
-        if self.kind == EXPONENTIAL_PAIR:
-            if len(p) != 1 or p[0] <= 0.0:
-                raise ValueError("exponential pair needs (rate,) with rate > 0")
-        if self.kind == RAYLEIGH_PAIR:
-            if len(p) != 1 or p[0] <= 0.0:
-                raise ValueError("rayleigh pair needs (scale,) with scale > 0")
-        if self.kind == TRIANGULAR_PAIR:
-            if len(p) != 2 or not p[0] < p[1]:
-                raise ValueError("triangular pair needs (lo, hi) with lo < hi")
+        valid, requires, _ = _PAIR_KINDS[self.kind]
+        if not valid(p):
+            raise ValueError(f"{self.kind} needs {requires}, got {p!r}")
 
     @classmethod
     def standard_uniform(cls, truncation_bits: int = DEFAULT_TRUNCATION_BITS) -> "RvPairSpec":
-        return cls(STANDARD_UNIFORM_PAIR, (), truncation_bits)
+        return cls("standard-uniform-pair", (), truncation_bits)
 
     @classmethod
     def gaussian(
         cls, mu: float, sigma: float, truncation_bits: int = DEFAULT_TRUNCATION_BITS
     ) -> "RvPairSpec":
-        return cls(GAUSSIAN_PAIR, (mu, sigma), truncation_bits)
+        return cls("gaussian-pair", (mu, sigma), truncation_bits)
 
     @classmethod
     def uniform(
         cls, a: float, b: float, truncation_bits: int = DEFAULT_TRUNCATION_BITS
     ) -> "RvPairSpec":
-        return cls(UNIFORM_PAIR, (a, b), truncation_bits)
+        return cls("uniform-pair", (a, b), truncation_bits)
 
     @classmethod
     def exponential(
         cls, rate: float, truncation_bits: int = DEFAULT_TRUNCATION_BITS
     ) -> "RvPairSpec":
-        return cls(EXPONENTIAL_PAIR, (rate,), truncation_bits)
+        return cls("exponential-pair", (rate,), truncation_bits)
 
     @classmethod
     def rayleigh(
         cls, scale: float, truncation_bits: int = DEFAULT_TRUNCATION_BITS
     ) -> "RvPairSpec":
-        return cls(RAYLEIGH_PAIR, (scale,), truncation_bits)
+        return cls("rayleigh-pair", (scale,), truncation_bits)
 
     @classmethod
     def triangular(
         cls, lo: float, hi: float, truncation_bits: int = DEFAULT_TRUNCATION_BITS
     ) -> "RvPairSpec":
-        return cls(TRIANGULAR_PAIR, (lo, hi), truncation_bits)
+        return cls("triangular-pair", (lo, hi), truncation_bits)
 
 
-def std_unif_disc(n: int, stream: BitStream) -> UniformSample:
-    """Depth-``n`` truncated binary expansion of the stream's next bits.
-
-    The first bit read carries weight 1/2, the next 1/4, and so on; the
-    result is an exact multiple of ``2**-n`` in ``[0, 1 - 2**-n]``.
-    """
-    _check_depth(n)
-    bits, rest = stream.take(n)
+def _numerator(half: BitStream, n: int) -> int:
+    """The next ``n`` bits of ``half`` as an integer, first bit most significant."""
+    bits, _ = half.take(n)
     m = 0
     for b in bits.tolist():
         m = (m << 1) | b
-    return UniformSample(math.ldexp(m, -n), n, rest)
+    return m
 
 
-def std_unif_cont(stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS) -> UniformSample:
-    """Standard uniform value, approximating the infinite expansion.
-
-    Truncating at depth ``n`` undershoots the untruncated limit by less than
-    ``2**-n``; the default depth saturates the float64 mantissa.
-    """
-    return std_unif_disc(n, stream)
-
-
-def uniform_rv(
-    a: float, b: float, stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS
-) -> tuple[float, BitStream]:
-    """Uniform value on ``[a, b)`` via the affine map of a standard uniform."""
-    if not a < b:
-        raise ValueError(f"uniform bounds need a < b, got a={a!r}, b={b!r}")
-    s = std_unif_cont(stream, n)
-    return float(_uniform_itm(a, b, s.value)), s.remaining
-
-
-def exponential_rv(
-    rate: float, stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS
-) -> tuple[float, BitStream]:
-    """Exponential variate by inverting ``1 - exp(-rate*x)``."""
-    if rate <= 0.0:
-        raise ValueError(f"exponential rate must be > 0, got {rate!r}")
-    s = std_unif_cont(stream, n)
-    return float(_exponential_itm(rate, s.value)), s.remaining
-
-
-def rayleigh_rv(
-    scale: float, stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS
-) -> tuple[float, BitStream]:
-    """Rayleigh variate by inverting ``1 - exp(-x**2 / (2*scale**2))``."""
-    if scale <= 0.0:
-        raise ValueError(f"rayleigh scale must be > 0, got {scale!r}")
-    s = std_unif_cont(stream, n)
-    return float(_rayleigh_itm(scale, s.value)), s.remaining
-
-
-def triangular_rv(
-    lo: float, hi: float, stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS
-) -> tuple[float, BitStream]:
-    """Symmetric triangular variate on ``[lo, hi]`` with mode at the midpoint."""
-    if not lo < hi:
-        raise ValueError(f"triangular bounds need lo < hi, got lo={lo!r}, hi={hi!r}")
-    s = std_unif_cont(stream, n)
-    return float(_triangular_itm(lo, hi, s.value)), s.remaining
-
-
-def std_unif_pair(
-    stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS
-) -> tuple[tuple[float, float], SplitStreams]:
+def std_unif_pair(stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS) -> tuple[float, float]:
     """Two independent standard uniforms from the even/odd halves of a stream.
 
-    Returns the pair and the two advanced sub-streams.  The components are
-    built from disjoint bit sets of the parent.
+    Each component is the depth-``n`` expansion of its half, read one bit at
+    a time: an exact multiple of ``2**-n`` in ``[0, 1 - 2**-n]``.  The
+    components are built from disjoint bit sets of the parent.
     """
     _check_depth(n)
-    halves = stream.split_even_odd()
-    s1 = std_unif_cont(halves.even, n)
-    s2 = std_unif_cont(halves.odd, n)
-    return (s1.value, s2.value), SplitStreams(even=s1.remaining, odd=s2.remaining)
+    even, odd = stream.split_even_odd()
+    return math.ldexp(_numerator(even, n), -n), math.ldexp(_numerator(odd, n), -n)
 
 
 def box_muller(u1_safe, u2):
@@ -234,44 +140,22 @@ def box_muller(u1_safe, u2):
     return r * np.cos(theta), r * np.sin(theta)
 
 
-def std_gaussian_pair(stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS) -> GaussianPair:
-    """Standard Gaussian pair via Box-Muller over an even/odd uniform pair.
-
-    The radial uniform is remapped as ``u1' = 1 - u1``, moving its support
-    from ``[0, 1 - 2**-n]`` to ``[2**-n, 1]`` so the logarithm stays finite;
-    the distribution is unchanged and the radius is bounded by
-    ``sqrt(2 * n * ln 2)``.
-    """
-    (u1, u2), _ = std_unif_pair(stream, n)
-    g1, g2 = box_muller(1.0 - u1, u2)
-    return GaussianPair(float(g1), float(g2), 0.0, 1.0)
-
-
 def gaussian_pair(
     mu: float, sigma: float, stream: BitStream, n: int = DEFAULT_TRUNCATION_BITS
 ) -> GaussianPair:
-    """Gaussian pair with mean ``mu`` and deviation ``sigma`` (affine shift)."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    std = std_gaussian_pair(stream, n)
-    return GaussianPair(
-        float(mu + sigma * std.g1), float(mu + sigma * std.g2), float(mu), float(sigma)
-    )
+    """Gaussian pair with mean ``mu`` and deviation ``sigma`` from one stream."""
+    spec = RvPairSpec.gaussian(mu, sigma, n)
+    g1, g2 = _transform_pair(spec, *std_unif_pair(stream, n))
+    return GaussianPair(float(g1), float(g2), *spec.params)
 
 
-# inverse-CDF transforms shared by the scalar ops and the batch kernel;
-# np.* keeps scalar and array results bit-identical
-
-def _uniform_itm(a, b, u):
-    return (b - a) * u + a
-
-
-def _exponential_itm(rate, u):
-    return -np.log1p(-u) / rate
-
-
-def _rayleigh_itm(scale, u):
-    return scale * np.sqrt(-2.0 * np.log1p(-u))
+def _gaussian(p, u1, u2):
+    # u1' = 1 - u1 moves the radial uniform from [0, 1 - 2**-n] to
+    # [2**-n, 1], so the logarithm stays finite and the radius is bounded by
+    # sqrt(2 * n * ln 2); the distribution is unchanged
+    mu, sigma = p
+    g1, g2 = box_muller(1.0 - u1, u2)
+    return mu + sigma * g1, mu + sigma * g2
 
 
 def _triangular_itm(lo, hi, u):
@@ -279,6 +163,43 @@ def _triangular_itm(lo, hi, u):
     lower = lo + width * np.sqrt(u / 2.0)
     upper = hi - width * np.sqrt((1.0 - u) / 2.0)
     return np.where(u < 0.5, lower, upper)
+
+
+def _each(itm):
+    """Pair transform applying the one-uniform map ``itm(p, u)`` to both."""
+    return lambda p, u1, u2: (itm(p, u1), itm(p, u2))
+
+
+# kind -> (params check, what it requires, pair transform); the transforms
+# take scalars or arrays, and np.* keeps both results bit-identical
+_PAIR_KINDS = {
+    "standard-uniform-pair": (
+        lambda p: not p, "no parameters", lambda p, u1, u2: (u1, u2)
+    ),
+    "gaussian-pair": (
+        lambda p: len(p) == 2 and p[1] > 0.0, "(mu, sigma) with sigma > 0", _gaussian
+    ),
+    "uniform-pair": (
+        lambda p: len(p) == 2 and p[0] < p[1],
+        "(a, b) with a < b",
+        _each(lambda p, u: (p[1] - p[0]) * u + p[0]),
+    ),
+    "exponential-pair": (
+        lambda p: len(p) == 1 and p[0] > 0.0,
+        "(rate,) with rate > 0",
+        _each(lambda p, u: -np.log1p(-u) / p[0]),
+    ),
+    "rayleigh-pair": (
+        lambda p: len(p) == 1 and p[0] > 0.0,
+        "(scale,) with scale > 0",
+        _each(lambda p, u: p[0] * np.sqrt(-2.0 * np.log1p(-u))),
+    ),
+    "triangular-pair": (
+        lambda p: len(p) == 2 and p[0] < p[1],
+        "(lo, hi) with lo < hi",
+        _each(lambda p, u: _triangular_itm(p[0], p[1], u)),
+    ),
+}
 
 
 # (shift, mask) steps that pack bits 0, 2, ..., 62 of a word into bits 0..31
@@ -363,26 +284,7 @@ def _pair_uniforms(subseeds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
 
 def _transform_pair(spec: RvPairSpec, u1, u2):
     """Map a uniform pair through the spec's distribution; scalar or array."""
-    p = spec.params
-    if spec.kind == STANDARD_UNIFORM_PAIR:
-        return u1, u2
-    if spec.kind == GAUSSIAN_PAIR:
-        mu, sigma = p
-        g1, g2 = box_muller(1.0 - u1, u2)
-        return mu + sigma * g1, mu + sigma * g2
-    if spec.kind == UNIFORM_PAIR:
-        a, b = p
-        return _uniform_itm(a, b, u1), _uniform_itm(a, b, u2)
-    if spec.kind == EXPONENTIAL_PAIR:
-        (rate,) = p
-        return _exponential_itm(rate, u1), _exponential_itm(rate, u2)
-    if spec.kind == RAYLEIGH_PAIR:
-        (scale,) = p
-        return _rayleigh_itm(scale, u1), _rayleigh_itm(scale, u2)
-    if spec.kind == TRIANGULAR_PAIR:
-        lo, hi = p
-        return _triangular_itm(lo, hi, u1), _triangular_itm(lo, hi, u2)
-    raise ValueError(f"unknown pair kind {spec.kind!r}")
+    return _PAIR_KINDS[spec.kind][2](spec.params, u1, u2)
 
 
 def draw_indices(spec: RvPairSpec, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -94,10 +94,15 @@ class SenseAmpParams:
         missing = sorted(set(_PARAM_KEYS) - set(data))
         if missing:
             raise ValueError(f"missing parameter keys: {', '.join(missing)}")
+        values = {}
         for key in _PARAM_KEYS:
             if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
                 raise ValueError(f"parameter {key} must be a number")
-        return cls(**{key: float(data[key]) for key in _PARAM_KEYS})
+            try:
+                values[key] = float(data[key])
+            except OverflowError:
+                raise ValueError(f"parameter {key} is out of float range") from None
+        return cls(**values)
 
     def to_dict(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in _PARAM_KEYS}

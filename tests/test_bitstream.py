@@ -79,17 +79,18 @@ def test_bit_matches_take():
 def test_split_even_odd_index_mapping():
     for seed in range(10):
         parent = from_seed(seed)
-        halves = parent.split_even_odd()
+        even, odd = parent.split_even_odd()
         pbits, _ = parent.take(256)
-        ebits, _ = halves.even.take(128)
-        obits, _ = halves.odd.take(128)
+        ebits, _ = even.take(128)
+        obits, _ = odd.take(128)
         assert np.array_equal(pbits[0::2], ebits)
         assert np.array_equal(pbits[1::2], obits)
 
 
 def test_split_of_split_reads_stride_four():
     parent = from_seed(21)
-    inner = parent.split_even_odd().even.split_even_odd().even
+    even, _ = parent.split_even_odd()
+    inner, _ = even.split_even_odd()
     pbits, _ = parent.take(64)
     ibits, _ = inner.take(16)
     assert np.array_equal(pbits[0::4], ibits)
@@ -98,19 +99,19 @@ def test_split_of_split_reads_stride_four():
 def test_split_after_consumption_starts_at_cursor():
     parent = from_seed(13)
     _, advanced = parent.take(6)
-    halves = advanced.split_even_odd()
+    even, _ = advanced.split_even_odd()
     pbits, _ = parent.take(20)
-    ebits, _ = halves.even.take(7)
+    ebits, _ = even.take(7)
     assert np.array_equal(pbits[6::2], ebits)
 
 
 def test_interleave_reconstructs_parent():
     for seed in range(10):
         parent = from_seed(seed)
-        halves = parent.split_even_odd()
+        even, odd = parent.split_even_odd()
         merged = np.empty(256, dtype=np.uint8)
-        merged[0::2], _ = halves.even.take(128)
-        merged[1::2], _ = halves.odd.take(128)
+        merged[0::2], _ = even.take(128)
+        merged[1::2], _ = odd.take(128)
         pbits, _ = parent.take(256)
         assert np.array_equal(merged, pbits)
 
@@ -123,11 +124,11 @@ def test_interleave_reconstructs_parent():
 )
 def test_split_halves_consume_disjoint_parent_indices(seed, k, j):
     parent = from_seed(seed)
-    halves = parent.split_even_odd()
+    even, odd = parent.split_even_odd()
     # root index of even bit k is 2k, of odd bit j is 2j+1: never equal,
     # and each equals the corresponding parent bit
-    assert halves.even.bit(k) == parent.bit(2 * k)
-    assert halves.odd.bit(j) == parent.bit(2 * j + 1)
+    assert even.bit(k) == parent.bit(2 * k)
+    assert odd.bit(j) == parent.bit(2 * j + 1)
 
 
 def test_reproducibility_long_prefix():

@@ -92,6 +92,17 @@ def test_ser_params_file_rejects_unknown_key(tmp_path, capsys):
     assert "vdd" in err
 
 
+def test_ser_params_file_rejects_huge_integer(tmp_path, capsys):
+    path = tmp_path / "amp.json"
+    path.write_text('{"v_low": 3.0, "v_high": 3.0, "noise_sigma": 1.0, '
+                    '"delta": 1' + "0" * 400 + ', "chi": 0.0}')
+    code, out, err = run(["ser", "--params", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("senserate: error: ") and "delta" in err
+    assert "Traceback" not in err
+
+
 def test_ser_params_file_conflicts_with_flags(tmp_path, capsys):
     path = tmp_path / "amp.json"
     path.write_text(json.dumps({"v_low": 3.0, "v_high": 3.0, "noise_sigma": 1.0,

@@ -6,7 +6,6 @@ from scipy.special import ndtr
 
 from senserate.normal import (
     erfc,
-    gaussian_upper_tail,
     phi,
     q_function,
     q_reference,
@@ -123,14 +122,6 @@ def test_erfc_consistency_with_q():
 
 def test_erfc_range():
     assert 0.0 < erfc(5.0) < 1.0 < erfc(-5.0) < 2.0
-
-
-def test_gaussian_upper_tail():
-    assert abs(gaussian_upper_tail(2.0, 2.0, 3.0) - 0.5) < 1e-13
-    assert gaussian_upper_tail(3.0, 0.0, 1.0) == q_function(3.0)
-    assert gaussian_upper_tail(3.5, 2.0, 0.5) == q_function(3.0)
-    with pytest.raises(ValueError):
-        gaussian_upper_tail(0.0, 0.0, 0.0)
 
 
 def test_scipy_cross_check_midrange():

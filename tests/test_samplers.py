@@ -10,18 +10,12 @@ from senserate.cdf import BLOCK_PAIRS
 from senserate.samplers import (
     GaussianPair,
     RvPairSpec,
+    _transform_pair,
     box_muller,
     draw_indices,
-    exponential_rv,
     gaussian_pair,
-    rayleigh_rv,
     sample_many,
-    std_gaussian_pair,
-    std_unif_cont,
-    std_unif_disc,
     std_unif_pair,
-    triangular_rv,
-    uniform_rv,
 )
 
 SEEDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -35,21 +29,21 @@ def expansion_oracle(bits) -> float:
 @settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, n=st.integers(min_value=1, max_value=53))
 def test_uniform_matches_expansion_oracle(seed, n):
+    # the pair's components expand the parent's even and odd bits
     stream = from_seed(seed)
-    bits, _ = stream.take(n)
-    sample = std_unif_disc(n, stream)
-    assert sample.value == expansion_oracle(bits.tolist())
-    assert sample.bits_used == n
-    assert sample.remaining.cursor == n
+    bits, _ = stream.take(2 * n)
+    u1, u2 = std_unif_pair(stream, n)
+    assert u1 == expansion_oracle(bits[0::2].tolist())
+    assert u2 == expansion_oracle(bits[1::2].tolist())
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, n=st.integers(min_value=1, max_value=53))
 def test_uniform_is_dyadic_in_range(seed, n):
-    value = std_unif_disc(n, from_seed(seed)).value
-    assert 0.0 <= value <= 1.0 - 0.5**n
-    scaled = value * 2.0**n
-    assert scaled == int(scaled)
+    for value in std_unif_pair(from_seed(seed), n):
+        assert 0.0 <= value <= 1.0 - 0.5**n
+        scaled = value * 2.0**n
+        assert scaled == int(scaled)
 
 
 def test_uniform_known_patterns():
@@ -62,81 +56,60 @@ def test_uniform_known_patterns():
 def test_depth_out_of_range_rejected():
     for n in (0, -1, 54):
         with pytest.raises(ValueError):
-            std_unif_disc(n, from_seed(1))
+            std_unif_pair(from_seed(1), n)
 
 
 def test_deepening_refines_monotonically():
-    stream = from_seed(17)
-    v20 = std_unif_cont(stream, 20).value
-    v36 = std_unif_cont(stream, 36).value
-    v52 = std_unif_cont(stream, 52).value
-    assert v20 <= v36 <= v52 < v20 + 2.0**-20
+    # a deeper expansion of the same bits only adds terms below 2**-20
+    idx = np.arange(100, dtype=np.uint64)
+    v20, v36, v52 = (
+        np.concatenate(draw_indices(RvPairSpec.standard_uniform(n), 17, idx))
+        for n in (20, 36, 52)
+    )
+    assert np.all(v20 <= v36) and np.all(v36 <= v52)
+    assert np.all(v52 - v20 < 2.0**-20)
 
 
-def test_truncation_gap_bound_over_seeds():
-    for seed in range(100):
-        stream = from_seed(seed)
-        gap = std_unif_cont(stream, 52).value - std_unif_cont(stream, 20).value
-        assert 0.0 <= gap < 2.0**-20
+def _with_uniforms(spec, seed, count=1000):
+    """Draws under ``spec`` and the standard uniforms they were mapped from."""
+    x = sample_many(spec, count, seed)
+    u = sample_many(RvPairSpec.standard_uniform(), count, seed)
+    return np.concatenate((x.x1, x.x2)), np.concatenate((u.x1, u.x2))
 
 
 def test_uniform_rv_affine():
-    stream = from_seed(23)
-    u = std_unif_cont(stream, 52).value
     for a, b in ((0.0, 1.0), (-2.0, 2.0), (3.0, 7.0)):
-        value, rest = uniform_rv(a, b, stream, 52)
-        assert value == (b - a) * u + a
-        assert a <= value < b
-        assert rest.cursor == 52
-    with pytest.raises(ValueError):
-        uniform_rv(1.0, 1.0, stream)
+        x, u = _with_uniforms(RvPairSpec.uniform(a, b), 23)
+        assert np.array_equal(x, (b - a) * u + a)
+        assert np.all((a <= x) & (x < b))
 
 
 def test_exponential_inverts_its_cdf():
-    stream = from_seed(29)
-    u = std_unif_cont(stream, 52).value
     for rate in (0.5, 1.0, 2.0):
-        x, _ = exponential_rv(rate, stream, 52)
-        assert x >= 0.0
-        assert math.isclose(1.0 - math.exp(-rate * x), u, abs_tol=1e-12)
-    with pytest.raises(ValueError):
-        exponential_rv(0.0, stream)
+        x, u = _with_uniforms(RvPairSpec.exponential(rate), 29)
+        assert np.all(x >= 0.0)
+        np.testing.assert_allclose(1.0 - np.exp(-rate * x), u, rtol=0.0, atol=1e-12)
 
 
 def test_rayleigh_inverts_its_cdf():
-    stream = from_seed(31)
-    u = std_unif_cont(stream, 52).value
     for scale in (0.5, 1.0, 3.0):
-        x, _ = rayleigh_rv(scale, stream, 52)
-        assert x >= 0.0
-        assert math.isclose(1.0 - math.exp(-x * x / (2.0 * scale * scale)), u, abs_tol=1e-12)
-    with pytest.raises(ValueError):
-        rayleigh_rv(-1.0, stream)
+        x, u = _with_uniforms(RvPairSpec.rayleigh(scale), 31)
+        assert np.all(x >= 0.0)
+        cdf = 1.0 - np.exp(-x * x / (2.0 * scale * scale))
+        np.testing.assert_allclose(cdf, u, rtol=0.0, atol=1e-12)
 
 
 def test_triangular_inverts_its_cdf():
-    def cdf(lo, hi, x):
-        mid = 0.5 * (lo + hi)
-        if x <= mid:
-            return 2.0 * ((x - lo) / (hi - lo)) ** 2
-        return 1.0 - 2.0 * ((hi - x) / (hi - lo)) ** 2
-
+    lo, hi = -1.0, 5.0
     for seed in (37, 41, 43):
-        stream = from_seed(seed)
-        u = std_unif_cont(stream, 52).value
-        x, _ = triangular_rv(-1.0, 5.0, stream, 52)
-        assert -1.0 <= x <= 5.0
-        assert math.isclose(cdf(-1.0, 5.0, x), u, abs_tol=1e-12)
-    with pytest.raises(ValueError):
-        triangular_rv(2.0, 2.0, from_seed(1))
-
-
-def test_pair_components_use_disjoint_bits():
-    stream = from_seed(47)
-    (u1, u2), _ = std_unif_pair(stream, 3)
-    pbits, _ = stream.take(6)
-    assert u1 == expansion_oracle(pbits[0::2].tolist())
-    assert u2 == expansion_oracle(pbits[1::2].tolist())
+        x, u = _with_uniforms(RvPairSpec.triangular(lo, hi), seed)
+        assert np.all((lo <= x) & (x <= hi))
+        cdf = np.where(
+            x <= 0.5 * (lo + hi),
+            2.0 * ((x - lo) / (hi - lo)) ** 2,
+            1.0 - 2.0 * ((hi - x) / (hi - lo)) ** 2,
+        )
+        np.testing.assert_allclose(cdf, u, rtol=0.0, atol=1e-12)
 
 
 def test_pair_correlation_small():
@@ -160,19 +133,16 @@ def test_std_gaussian_radius_bound():
     # radius cannot exceed sqrt(2 n ln 2) because u1' >= 2^-n
     bound = math.sqrt(2.0 * 52 * math.log(2.0)) + 1e-9
     for seed in range(200):
-        pair = std_gaussian_pair(from_seed(seed))
+        pair = gaussian_pair(0.0, 1.0, from_seed(seed))
         assert math.hypot(pair.g1, pair.g2) <= bound
 
 
 def test_gaussian_pair_is_exact_affine_of_standard():
     for seed in (1, 7, 123):
-        std = std_gaussian_pair(from_seed(seed))
+        std = gaussian_pair(0.0, 1.0, from_seed(seed))
         shifted = gaussian_pair(5.0, 2.0, from_seed(seed))
         assert shifted.g1 == 5.0 + 2.0 * std.g1
         assert shifted.g2 == 5.0 + 2.0 * std.g2
-    ident = gaussian_pair(0.0, 1.0, from_seed(9))
-    std = std_gaussian_pair(from_seed(9))
-    assert (ident.g1, ident.g2) == (std.g1, std.g2)
 
 
 def test_gaussian_pair_rejects_bad_sigma():
@@ -199,26 +169,14 @@ def test_sample_many_single_equals_direct_draw():
     ]
     for spec in cases:
         batch = sample_many(spec, 1, 42)
-        stream = substream(42, 0)
-        if spec.kind == "gaussian-pair":
-            mu, sigma = spec.params
-            direct = gaussian_pair(mu, sigma, stream)
-            assert (batch.x1[0], batch.x2[0]) == (direct.g1, direct.g2)
-        elif spec.kind == "standard-uniform-pair":
-            (u1, u2), _ = std_unif_pair(stream)
-            assert (batch.x1[0], batch.x2[0]) == (u1, u2)
-        else:
-            (u1, u2), _ = std_unif_pair(stream)
-            from senserate.samplers import _transform_pair
-
-            x1, x2 = _transform_pair(spec, u1, u2)
-            assert (batch.x1[0], batch.x2[0]) == (float(x1), float(x2))
+        x1, x2 = _transform_pair(spec, *std_unif_pair(substream(42, 0)))
+        assert (batch.x1[0], batch.x2[0]) == (x1, x2), spec.kind
 
 
 def test_sample_many_batch_matches_per_index_scalar_draws():
     batch = sample_many(RvPairSpec.gaussian(0.0, 1.0), 64, 7)
     for i in range(64):
-        direct = std_gaussian_pair(substream(7, i))
+        direct = gaussian_pair(0.0, 1.0, substream(7, i))
         assert batch.x1[i] == direct.g1
         assert batch.x2[i] == direct.g2
 
@@ -233,7 +191,7 @@ def test_draw_indices_matches_scalar_pairs_at_every_depth():
     for n in range(1, 54):
         x1, x2 = draw_indices(RvPairSpec.standard_uniform(n), seed, idx)
         for k, i in enumerate(indices):
-            (u1, u2), _ = std_unif_pair(substream(seed, i), n)
+            u1, u2 = std_unif_pair(substream(seed, i), n)
             assert (x1[k], x2[k]) == (u1, u2), (n, i)
 
 

@@ -89,6 +89,10 @@ def test_params_json_rejects_unknown_and_missing_keys():
     wrong["delta"] = "zero"
     with pytest.raises(ValueError, match="must be a number"):
         SenseAmpParams.from_json(json.dumps(wrong))
+    huge = dict(good)
+    huge["delta"] = 10**400
+    with pytest.raises(ValueError, match="parameter delta is out of float range"):
+        SenseAmpParams.from_json(json.dumps(huge))
     with pytest.raises(ValueError):
         SenseAmpParams.from_json("[1, 2]")
 
