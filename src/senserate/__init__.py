@@ -11,7 +11,7 @@ rate through closed-form, exact-CDF, and Monte Carlo routes.
 
 __version__ = "0.1.0"
 
-from .bitstream import BitStream, from_seed, substream, substream_seed
+from .bitstream import BitStream, substream, substream_seed
 from .cdf import (
     IndependenceReport,
     PropertyCheck,
@@ -58,7 +58,6 @@ from .senseamp import (
 __all__ = [
     "__version__",
     "BitStream",
-    "from_seed",
     "substream",
     "substream_seed",
     "SamplePairs",

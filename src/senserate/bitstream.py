@@ -127,11 +127,6 @@ class BitStream:
         return even, odd
 
 
-def from_seed(seed: int) -> BitStream:
-    """Stream at cursor 0 whose bits are fully determined by ``seed``."""
-    return BitStream(seed)
-
-
 def substream_seed(seed: int, index: int) -> int:
     """Seed of the ``index``-th derived stream of ``seed``.
 

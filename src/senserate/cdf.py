@@ -16,7 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,11 @@ if TYPE_CHECKING:
 # pairs per block for the batch kernels and CSV encoding: each temporary is
 # one block long, so the working set stays cache-sized at any sample size
 BLOCK_PAIRS = 1 << 16
+
+# the audit's independence probe: a square quantile grid of this side, and
+# the largest factorization gap it accepts
+_GRID_SIZE = 5
+_INDEPENDENCE_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,7 @@ class SamplePairs:
 class IndependenceReport:
     """Worst factorization gap |F(x1,x2) - F1(x1)*F2(x2)| over a probe grid."""
 
-    grid: tuple[tuple[float, float], ...]
     max_abs_deviation: float
-    tolerance: float
     passed: bool
 
 
@@ -135,7 +138,7 @@ def interval_via_cdf(samples: SamplePairs, a: float, b: float, c: float, d: floa
 def independence_check(
     samples: SamplePairs,
     grid: Sequence[tuple[float, float]],
-    tolerance: float = 0.01,
+    tolerance: float = _INDEPENDENCE_TOLERANCE,
 ) -> IndependenceReport:
     """Compare the joint CDF against the product of marginals on a grid."""
     if len(grid) == 0:
@@ -147,15 +150,10 @@ def independence_check(
         joint = joint_cdf(samples, gx1, gx2)
         product = marginal_cdf_x1(samples, gx1) * marginal_cdf_x2(samples, gx2)
         worst = max(worst, abs(joint - product))
-    return IndependenceReport(
-        grid=tuple((float(a), float(b)) for a, b in grid),
-        max_abs_deviation=worst,
-        tolerance=float(tolerance),
-        passed=worst <= tolerance,
-    )
+    return IndependenceReport(max_abs_deviation=worst, passed=worst <= tolerance)
 
 
-def quantile_grid(samples: SamplePairs, size: int = 5) -> list[tuple[float, float]]:
+def quantile_grid(samples: SamplePairs, size: int = _GRID_SIZE) -> list[tuple[float, float]]:
     """``size x size`` probe grid at equally spaced marginal quantiles."""
     if size < 1:
         raise ValueError(f"grid size must be >= 1, got {size!r}")
@@ -220,14 +218,18 @@ def ks_pvalue(statistic: float, n: int) -> float:
     return max(0.0, min(1.0, 2.0 * total))
 
 
-def samples_to_csv(samples: SamplePairs) -> str:
-    """CSV text with header ``x1,x2``; floats use shortest round-trip form."""
-    blocks = ["x1,x2\n"]
+def _csv_chunks(samples: SamplePairs) -> Iterator[str]:
+    """The header, then the text of each :data:`BLOCK_PAIRS`-row block."""
+    yield "x1,x2\n"
     for start in range(0, len(samples), BLOCK_PAIRS):
         block = slice(start, start + BLOCK_PAIRS)
         rows = zip(samples.x1[block].tolist(), samples.x2[block].tolist())
-        blocks.append("".join([f"{a!r},{b!r}\n" for a, b in rows]))
-    return "".join(blocks)
+        yield "".join([f"{a!r},{b!r}\n" for a, b in rows])
+
+
+def samples_to_csv(samples: SamplePairs) -> str:
+    """CSV text with header ``x1,x2``; floats use shortest round-trip form."""
+    return "".join(_csv_chunks(samples))
 
 
 def samples_from_csv(text: str) -> SamplePairs:
@@ -254,16 +256,14 @@ def run_property_audit(
     rng_seed: int = 0,
     n_probes: int = 200,
     n_rectangles: int = 1000,
-    grid_size: int = 5,
-    independence_tolerance: float = 0.01,
 ) -> list[PropertyCheck]:
     """Run the full CDF property suite against one pair sample.
 
     Count-level identities (bounds, monotonicity, limits at the sample
     extremes, rectangle inclusion-exclusion, event containment) must hold
-    exactly; the independence factorization is held to
-    ``independence_tolerance``.  Probe points and rectangles are drawn
-    deterministically from ``rng_seed``.
+    exactly; the independence factorization is held to a fixed tolerance on
+    a quantile probe grid, both named in that check's detail.  Probe points
+    and rectangles are drawn deterministically from ``rng_seed``.
     """
     rng = np.random.default_rng(rng_seed)
     lo1, hi1 = float(samples.x1.min()), float(samples.x1.max())
@@ -363,17 +363,15 @@ def run_property_audit(
         )
     )
 
-    report = independence_check(
-        samples, quantile_grid(samples, grid_size), independence_tolerance
-    )
+    report = independence_check(samples, quantile_grid(samples))
     checks.append(
         PropertyCheck(
             name="independence-factorization",
             passed=report.passed,
             max_deviation=report.max_abs_deviation,
             detail=(
-                f"max |joint - product| over {grid_size}x{grid_size} quantile grid,"
-                f" tolerance {independence_tolerance}"
+                f"max |joint - product| over {_GRID_SIZE}x{_GRID_SIZE} quantile grid,"
+                f" tolerance {_INDEPENDENCE_TOLERANCE}"
             ),
         )
     )

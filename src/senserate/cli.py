@@ -10,25 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__, cdf, samplers, senseamp
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Central defaults, surfaced verbatim in --help."""
-
-    seed: int = 42
-    n_samples: int = 100_000
-    truncation_bits: int = 52
-    grid_size: int = 5
-    n_rectangles: int = 1000
-    independence_tolerance: float = 0.01
-
-
-DEFAULTS = RunConfig()
+_DEFAULT_SEED = 42
+_DEFAULT_N = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,16 +27,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(name: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _seed_value(value: int) -> int:
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"--seed must be a 64-bit unsigned integer, got {value}")
-    return value
+def _n_and_seed(args) -> tuple[int, int]:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+    return args.n, args.seed
 
 
 def _bits_value(value: int) -> int:
@@ -59,19 +43,22 @@ def _bits_value(value: int) -> int:
     return value
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _pair_spec(args) -> samplers.RvPairSpec:
+def _sample_pairs(args) -> cdf.SamplePairs:
     bits = _bits_value(args.bits)
     if args.dist == "std-uniform-pair":
-        return samplers.RvPairSpec.standard_uniform(bits)
-    return samplers.RvPairSpec.gaussian(args.mu, args.sigma, bits)
+        spec = samplers.RvPairSpec.standard_uniform(bits)
+    else:
+        spec = samplers.RvPairSpec.gaussian(args.mu, args.sigma, bits)
+    n, seed = _n_and_seed(args)
+    return samplers.sample_many(spec, n, seed)
 
 
 def _sense_params(args) -> senseamp.SenseAmpParams:
@@ -102,65 +89,50 @@ def _sense_params(args) -> senseamp.SenseAmpParams:
 
 
 def _cmd_sample(args) -> int:
-    spec = _pair_spec(args)
-    n = _positive_int("--n", args.n)
-    seed = _seed_value(args.seed)
-    samples = samplers.sample_many(spec, n, seed)
-    _emit(cdf.samples_to_csv(samples), args.out)
+    # one block of text at a time, so memory does not grow with the output
+    _emit(cdf._csv_chunks(_sample_pairs(args)), args.out)
     return 0
 
 
 def _cmd_cdf_props(args) -> int:
-    spec = _pair_spec(args)
-    n = _positive_int("--n", args.n)
-    seed = _seed_value(args.seed)
-    samples = samplers.sample_many(spec, n, seed)
-    checks = cdf.run_property_audit(
-        samples,
-        rng_seed=seed,
-        grid_size=DEFAULTS.grid_size,
-        n_rectangles=DEFAULTS.n_rectangles,
-        independence_tolerance=DEFAULTS.independence_tolerance,
-    )
+    checks = cdf.run_property_audit(_sample_pairs(args), rng_seed=args.seed)
     lines = [
         f"{'PASS' if c.passed else 'FAIL'} {c.name}: max deviation"
         f" {c.max_deviation:.6g} ({c.detail})"
         for c in checks
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if all(c.passed for c in checks) else 2
 
 
 def _cmd_ser(args) -> int:
     params = _sense_params(args)
-    n = _positive_int("--n", args.n)
-    seed = _seed_value(args.seed)
+    n, seed = _n_and_seed(args)
     result = senseamp.evaluate(params, n, seed)
-    _emit(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
+    _emit([json.dumps(result.to_dict(), indent=2) + "\n"], args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     params = _sense_params(args)
-    n = _positive_int("--n", args.n)
-    seed = _seed_value(args.seed)
+    n, seed = _n_and_seed(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"--values must be comma-separated floats, got {args.values!r}")
     rows = senseamp.sweep(params, args.axis, values, n, seed)
-    _emit(senseamp.sweep_to_csv(rows), args.out)
+    _emit([senseamp.sweep_to_csv(rows)], args.out)
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--seed", type=int, default=DEFAULTS.seed,
-        help=f"64-bit unsigned RNG seed (default {DEFAULTS.seed})",
+        "--seed", type=int, default=_DEFAULT_SEED,
+        help=f"64-bit unsigned RNG seed (default {_DEFAULT_SEED})",
     )
     parser.add_argument(
-        "--n", type=int, default=DEFAULTS.n_samples,
-        help=f"number of pairs / trials, >= 1 (default {DEFAULTS.n_samples})",
+        "--n", type=int, default=_DEFAULT_N,
+        help=f"number of pairs / trials, >= 1 (default {_DEFAULT_N})",
     )
     parser.add_argument("--out", metavar="PATH", default=None, help="output file (default stdout)")
 
@@ -173,8 +145,8 @@ def _add_dist(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, default=0.0, help="gaussian mean (default 0)")
     parser.add_argument("--sigma", type=float, default=1.0, help="gaussian deviation (default 1)")
     parser.add_argument(
-        "--bits", type=int, default=DEFAULTS.truncation_bits,
-        help=f"uniform truncation depth in bits (default {DEFAULTS.truncation_bits})",
+        "--bits", type=int, default=samplers.DEFAULT_TRUNCATION_BITS,
+        help=f"uniform truncation depth in bits (default {samplers.DEFAULT_TRUNCATION_BITS})",
     )
 
 

@@ -176,8 +176,12 @@ _PAIR_KINDS = {
     "standard-uniform-pair": (
         lambda p: not p, "no parameters", lambda p, u1, u2: (u1, u2)
     ),
+    # every depth-n radius is at most sqrt(2 * 53 * ln 2) < 9, so |mu| + 9 sigma
+    # bounds each draw and a finite bound means no seed overflows
     "gaussian-pair": (
-        lambda p: len(p) == 2 and p[1] > 0.0, "(mu, sigma) with sigma > 0", _gaussian
+        lambda p: len(p) == 2 and p[1] > 0.0 and math.isfinite(abs(p[0]) + 9.0 * p[1]),
+        "(mu, sigma) with sigma > 0 and |mu| + 9 sigma finite",
+        _gaussian,
     ),
     "uniform-pair": (
         lambda p: len(p) == 2 and p[0] < p[1],

@@ -22,7 +22,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -31,13 +31,9 @@ from .bitstream import substream_seed
 from .normal import SQRT_2
 from .samplers import BLOCK_PAIRS, RvPairSpec, draw_indices
 
-_PARAM_KEYS = ("v_low", "v_high", "noise_sigma", "delta", "chi")
-
 # below this analytical SER, Monte Carlo at desk-scale n is meaningless and
 # evaluation reports the analytical value only
 DEEP_TAIL_CUTOFF = 1e-12
-
-SWEEP_AXES = ("delta", "chi", "snr")
 
 SWEEP_CSV_HEADER = ("axis_value", "analytical", "exact_cdf", "monte_carlo", "mc_stderr", "n_samples")
 
@@ -58,9 +54,10 @@ class SenseAmpParams:
     chi: float
 
     def __post_init__(self) -> None:
-        for key, value in self.to_dict().items():
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.v_low <= 0.0:
             raise ValueError(f"v_low must be > 0, got {self.v_low!r}")
         if self.v_high <= 0.0:
@@ -71,6 +68,13 @@ class SenseAmpParams:
             raise ValueError(f"delta must be in [0, 1], got {self.delta!r}")
         if not 0.0 <= self.chi <= 1.0:
             raise ValueError(f"chi must be in [0, 1], got {self.chi!r}")
+        # the closed form's erfc arguments only matter for symmetric levels
+        margins = _q_args(self) + (_erfc_args(self) if self.v_low == self.v_high else ())
+        if not all(math.isfinite(m) for m in margins):
+            raise ValueError(
+                f"noise_sigma {self.noise_sigma!r} is too small for these levels:"
+                " the standardized error margins overflow"
+            )
 
     @property
     def insensitivity_width(self) -> float:
@@ -88,14 +92,15 @@ class SenseAmpParams:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("parameter file must hold a JSON object")
-        unknown = sorted(set(data) - set(_PARAM_KEYS))
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(keys))
         if unknown:
             raise ValueError(f"unknown parameter keys: {', '.join(unknown)}")
-        missing = sorted(set(_PARAM_KEYS) - set(data))
+        missing = sorted(set(keys) - set(data))
         if missing:
             raise ValueError(f"missing parameter keys: {', '.join(missing)}")
         values = {}
-        for key in _PARAM_KEYS:
+        for key in keys:
             if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
                 raise ValueError(f"parameter {key} must be a number")
             try:
@@ -105,7 +110,7 @@ class SenseAmpParams:
         return cls(**values)
 
     def to_dict(self) -> dict[str, float]:
-        return {key: getattr(self, key) for key in _PARAM_KEYS}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -126,15 +131,19 @@ class SerResult:
     analytical_only: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "analytical": self.analytical,
-            "exact_cdf": self.exact_cdf,
-            "monte_carlo": self.monte_carlo,
-            "mc_stderr": self.mc_stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "analytical_only": self.analytical_only,
-        }
+        return asdict(self)
+
+
+def _q_args(params: SenseAmpParams) -> tuple[float, float]:
+    """Standardized margins of the two lines to their band edges (the Q arguments)."""
+    sigma = params.noise_sigma
+    half_width = 0.5 * params.insensitivity_width
+    center = params.center_deviation
+    return (
+        (center - half_width + params.v_low) / sigma,
+        # P[V2 <= edge] as an upper tail by symmetry; 1 - Q would cancel
+        (params.v_high - center - half_width) / sigma,
+    )
 
 
 def detection_error_probs(params: SenseAmpParams) -> tuple[float, float]:
@@ -144,13 +153,8 @@ def detection_error_probs(params: SenseAmpParams) -> tuple[float, float]:
     ``chi*v_high - delta*v_high/2``; line 2 (mean ``+v_high``) errs when it
     falls at or below the upper band edge ``chi*v_high + delta*v_high/2``.
     """
-    sigma = params.noise_sigma
-    half_width = 0.5 * params.insensitivity_width
-    center = params.center_deviation
-    p_low_as_high = normal.q_function((center - half_width + params.v_low) / sigma)
-    # P[V2 <= edge] as an upper tail by symmetry; 1 - Q would cancel
-    p_high_as_low = normal.q_function((params.v_high - center - half_width) / sigma)
-    return float(p_low_as_high), float(p_high_as_low)
+    z_low, z_high = _q_args(params)
+    return float(normal.q_function(z_low)), float(normal.q_function(z_high))
 
 
 def ser_probabilistic(params: SenseAmpParams) -> float:
@@ -163,15 +167,17 @@ def ser_probabilistic(params: SenseAmpParams) -> float:
     return 0.5 * (p1 + p2)
 
 
-def _analytical_terms(params: SenseAmpParams) -> tuple[float, float]:
+def _erfc_args(params: SenseAmpParams) -> tuple[float, float]:
     sigma = params.noise_sigma
-    term_high = 0.25 * normal.erfc(
-        params.v_high / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta + params.chi)
+    return (
+        params.v_high / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta + params.chi),
+        params.v_low / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta - params.chi),
     )
-    term_low = 0.25 * normal.erfc(
-        params.v_low / (SQRT_2 * sigma) * (1.0 - 0.5 * params.delta - params.chi)
-    )
-    return float(term_high), float(term_low)
+
+
+def _analytical_terms(params: SenseAmpParams) -> tuple[float, float]:
+    arg_high, arg_low = _erfc_args(params)
+    return float(0.25 * normal.erfc(arg_high)), float(0.25 * normal.erfc(arg_low))
 
 
 def ser_analytical(params: SenseAmpParams) -> float:
@@ -245,37 +251,26 @@ def evaluate(params: SenseAmpParams, n_samples: int, seed: int) -> SerResult:
     exact = ser_probabilistic(params)
     analytical = ser_analytical(params) if params.v_low == params.v_high else None
     reference = exact if analytical is None else analytical
-    if reference < DEEP_TAIL_CUTOFF:
-        return SerResult(
-            analytical=analytical,
-            exact_cdf=exact,
-            monte_carlo=None,
-            mc_stderr=None,
-            n_samples=n_samples,
-            seed=seed,
-            analytical_only=True,
-        )
-    estimate, stderr = ser_monte_carlo(params, n_samples, seed)
-    return SerResult(
-        analytical=analytical,
-        exact_cdf=exact,
-        monte_carlo=estimate,
-        mc_stderr=stderr,
-        n_samples=n_samples,
-        seed=seed,
+    analytical_only = reference < DEEP_TAIL_CUTOFF
+    estimate, stderr = (
+        (None, None) if analytical_only else ser_monte_carlo(params, n_samples, seed)
     )
+    return SerResult(analytical, exact, estimate, stderr, n_samples, seed, analytical_only)
 
 
-def _swept_params(base: SenseAmpParams, axis: str, value: float) -> SenseAmpParams:
-    if axis == "delta":
-        return replace(base, delta=value)
-    if axis == "chi":
-        return replace(base, chi=value)
-    if axis == "snr":
-        # signal-to-noise sweep: both level magnitudes move together
-        level = value * base.noise_sigma
-        return replace(base, v_low=level, v_high=level)
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+def _snr_params(base: SenseAmpParams, value: float) -> SenseAmpParams:
+    # signal-to-noise sweep: both level magnitudes move together
+    level = value * base.noise_sigma
+    return replace(base, v_low=level, v_high=level)
+
+
+# axis -> (base params, axis value) -> swept params
+_SWEPT_PARAMS = {
+    "delta": lambda base, value: replace(base, delta=value),
+    "chi": lambda base, value: replace(base, chi=value),
+    "snr": _snr_params,
+}
+SWEEP_AXES = tuple(_SWEPT_PARAMS)
 
 
 def sweep(
@@ -298,7 +293,7 @@ def sweep(
     points: list[tuple[float, SenseAmpParams]] = []
     for value in values:
         try:
-            points.append((float(value), _swept_params(base, axis, float(value))))
+            points.append((float(value), _SWEPT_PARAMS[axis](base, float(value))))
         except ValueError as exc:
             raise ValueError(f"invalid {axis} sweep value {value!r}: {exc}") from exc
     if axis == "snr" and 1.0 - 0.5 * base.delta - base.chi < 0.0:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from senserate.bitstream import (
     BitStream,
-    from_seed,
     substream,
     substream_seed,
     substream_seeds_np,
@@ -13,8 +12,8 @@ from senserate.bitstream import (
 
 
 def test_same_seed_same_bits():
-    a = from_seed(7)
-    b = from_seed(7)
+    a = BitStream(7)
+    b = BitStream(7)
     assert a.bit(0) == b.bit(0)
     va, _ = a.take(128)
     vb, _ = b.take(128)
@@ -24,13 +23,13 @@ def test_same_seed_same_bits():
 def test_distinct_seeds_differ_in_first_64_bits():
     # the first 64 bits are one bijective mix of the seed, so distinct seeds
     # cannot collide on that prefix
-    a, _ = from_seed(7).take(64)
-    b, _ = from_seed(8).take(64)
+    a, _ = BitStream(7).take(64)
+    b, _ = BitStream(8).take(64)
     assert not np.array_equal(a, b)
 
 
 def test_zero_seed_is_valid():
-    bits, rest = from_seed(0).take(64)
+    bits, rest = BitStream(0).take(64)
     assert bits.shape == (64,)
     assert rest.cursor == 64
     assert set(np.unique(bits)) <= {0, 1}
@@ -38,20 +37,20 @@ def test_zero_seed_is_valid():
 
 def test_seed_out_of_range_rejected():
     with pytest.raises(ValueError):
-        from_seed(1 << 64)
+        BitStream(1 << 64)
     with pytest.raises(ValueError):
-        from_seed(-1)
+        BitStream(-1)
 
 
 def test_take_zero_is_identity():
-    s = from_seed(3)
+    s = BitStream(3)
     bits, rest = s.take(0)
     assert bits.size == 0
     assert rest == s
 
 
 def test_take_advances_cursor():
-    s = from_seed(11)
+    s = BitStream(11)
     _, s3 = s.take(3)
     two, _ = s3.take(2)
     all5, _ = s.take(5)
@@ -59,7 +58,7 @@ def test_take_advances_cursor():
 
 
 def test_take_is_value_semantic():
-    s = from_seed(5)
+    s = BitStream(5)
     first, _ = s.take(5)
     second, _ = s.take(5)
     assert np.array_equal(first, second)
@@ -67,18 +66,18 @@ def test_take_is_value_semantic():
 
 def test_take_negative_rejected():
     with pytest.raises(ValueError):
-        from_seed(1).take(-1)
+        BitStream(1).take(-1)
 
 
 def test_bit_matches_take():
-    s = from_seed(99)
+    s = BitStream(99)
     bits, _ = s.take(200)
     assert [s.bit(i) for i in range(200)] == bits.tolist()
 
 
 def test_split_even_odd_index_mapping():
     for seed in range(10):
-        parent = from_seed(seed)
+        parent = BitStream(seed)
         even, odd = parent.split_even_odd()
         pbits, _ = parent.take(256)
         ebits, _ = even.take(128)
@@ -88,7 +87,7 @@ def test_split_even_odd_index_mapping():
 
 
 def test_split_of_split_reads_stride_four():
-    parent = from_seed(21)
+    parent = BitStream(21)
     even, _ = parent.split_even_odd()
     inner, _ = even.split_even_odd()
     pbits, _ = parent.take(64)
@@ -97,7 +96,7 @@ def test_split_of_split_reads_stride_four():
 
 
 def test_split_after_consumption_starts_at_cursor():
-    parent = from_seed(13)
+    parent = BitStream(13)
     _, advanced = parent.take(6)
     even, _ = advanced.split_even_odd()
     pbits, _ = parent.take(20)
@@ -107,7 +106,7 @@ def test_split_after_consumption_starts_at_cursor():
 
 def test_interleave_reconstructs_parent():
     for seed in range(10):
-        parent = from_seed(seed)
+        parent = BitStream(seed)
         even, odd = parent.split_even_odd()
         merged = np.empty(256, dtype=np.uint8)
         merged[0::2], _ = even.take(128)
@@ -123,7 +122,7 @@ def test_interleave_reconstructs_parent():
     j=st.integers(min_value=0, max_value=500),
 )
 def test_split_halves_consume_disjoint_parent_indices(seed, k, j):
-    parent = from_seed(seed)
+    parent = BitStream(seed)
     even, odd = parent.split_even_odd()
     # root index of even bit k is 2k, of odd bit j is 2j+1: never equal,
     # and each equals the corresponding parent bit
@@ -133,15 +132,15 @@ def test_split_halves_consume_disjoint_parent_indices(seed, k, j):
 
 def test_reproducibility_long_prefix():
     for seed in (0, 1, 42, (1 << 64) - 1):
-        a, _ = from_seed(seed).take(10_000)
-        b, _ = from_seed(seed).take(10_000)
+        a, _ = BitStream(seed).take(10_000)
+        b, _ = BitStream(seed).take(10_000)
         assert np.array_equal(a, b)
 
 
 def test_ones_fraction_near_half():
     # binomial 3-sigma band at 1e5 bits is +-0.0047
     for seed in (0, 1, 2, 42):
-        bits, _ = from_seed(seed).take(100_000)
+        bits, _ = BitStream(seed).take(100_000)
         assert 0.49 <= bits.mean() <= 0.51
 
 

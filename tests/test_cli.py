@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import senserate
 from senserate import cdf, cli
-from senserate.cdf import PropertyCheck, samples_from_csv
+from senserate.cdf import BLOCK_PAIRS, PropertyCheck, samples_from_csv
+from senserate.samplers import RvPairSpec, sample_many
 from senserate.senseamp import SenseAmpParams, evaluate
 
 SER_ARGS = [
@@ -220,3 +228,75 @@ def test_seed_range_enforced(capsys):
     code, _, err = run(SER_ARGS + ["--seed", str(1 << 64), "--n", "10"], capsys)
     assert code == 1
     assert "--seed" in err
+
+
+@pytest.mark.parametrize("v", ["3", "12"])
+def test_ser_json_key_order(v, capsys):
+    argv = ["ser", "--v-low", v, "--v-high", v, "--sigma", "1", "--delta", "0", "--chi", "0"]
+    code, out, _ = run(argv + ["--n", "100"], capsys)
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "analytical", "exact_cdf", "monte_carlo", "mc_stderr",
+        "n_samples", "seed", "analytical_only",
+    ]
+
+
+@pytest.mark.parametrize("command", ["sample", "cdf-props"])
+def test_sampling_help_shows_defaults(command, capsys):
+    code, out, _ = run([command, "--help"], capsys)
+    assert code == 0
+    text = " ".join(out.split())
+    for default in ("(default 42)", "(default 100000)", "(default 52)"):
+        assert default in text
+
+
+def test_sample_output_is_the_same_bytes_everywhere(tmp_path, capsys):
+    n = 2 * BLOCK_PAIRS + 3
+    argv = ["sample", "--dist", "gaussian-pair", "--n", str(n), "--seed", "5"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    path = tmp_path / "pairs.csv"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    expected = cdf.samples_to_csv(sample_many(RvPairSpec.gaussian(0.0, 1.0), n, 5))
+    assert out == expected
+    assert path.read_bytes() == expected.encode()
+
+
+def test_sample_memory_grows_with_the_pairs_not_the_text(tmp_path):
+    def peak(blocks):
+        argv = ["sample", "--n", str(blocks * BLOCK_PAIRS), "--out", str(tmp_path / "p.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(8) - peak(2)
+    # six more blocks of pairs take 6 MiB; holding their text as well would
+    # add about 28 MiB more
+    assert growth <= 8 * 2**20, growth
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["ser", "--v-low", "1e308", "--v-high", "1e308", "--sigma", "1e-308",
+          "--delta", "0", "--chi", "0"], "noise_sigma"),
+        (["cdf-props", "--dist", "gaussian-pair", "--mu", "1e308", "--sigma", "1e308"],
+         "gaussian-pair"),
+    ],
+)
+def test_overflowing_parameters_fail_before_any_kernel(argv, named):
+    # a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+    path = [str(Path(senserate.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "senserate.cli", *argv, "--n", "50"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("senserate: error: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

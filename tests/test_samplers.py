@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from senserate.bitstream import from_seed, substream
+from senserate.bitstream import BitStream, substream
 from senserate.cdf import BLOCK_PAIRS
 from senserate.samplers import (
     GaussianPair,
@@ -30,7 +30,7 @@ def expansion_oracle(bits) -> float:
 @given(seed=SEEDS, n=st.integers(min_value=1, max_value=53))
 def test_uniform_matches_expansion_oracle(seed, n):
     # the pair's components expand the parent's even and odd bits
-    stream = from_seed(seed)
+    stream = BitStream(seed)
     bits, _ = stream.take(2 * n)
     u1, u2 = std_unif_pair(stream, n)
     assert u1 == expansion_oracle(bits[0::2].tolist())
@@ -40,7 +40,7 @@ def test_uniform_matches_expansion_oracle(seed, n):
 @settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, n=st.integers(min_value=1, max_value=53))
 def test_uniform_is_dyadic_in_range(seed, n):
-    for value in std_unif_pair(from_seed(seed), n):
+    for value in std_unif_pair(BitStream(seed), n):
         assert 0.0 <= value <= 1.0 - 0.5**n
         scaled = value * 2.0**n
         assert scaled == int(scaled)
@@ -56,7 +56,7 @@ def test_uniform_known_patterns():
 def test_depth_out_of_range_rejected():
     for n in (0, -1, 54):
         with pytest.raises(ValueError):
-            std_unif_pair(from_seed(1), n)
+            std_unif_pair(BitStream(1), n)
 
 
 def test_deepening_refines_monotonically():
@@ -133,23 +133,23 @@ def test_std_gaussian_radius_bound():
     # radius cannot exceed sqrt(2 n ln 2) because u1' >= 2^-n
     bound = math.sqrt(2.0 * 52 * math.log(2.0)) + 1e-9
     for seed in range(200):
-        pair = gaussian_pair(0.0, 1.0, from_seed(seed))
+        pair = gaussian_pair(0.0, 1.0, BitStream(seed))
         assert math.hypot(pair.g1, pair.g2) <= bound
 
 
 def test_gaussian_pair_is_exact_affine_of_standard():
     for seed in (1, 7, 123):
-        std = gaussian_pair(0.0, 1.0, from_seed(seed))
-        shifted = gaussian_pair(5.0, 2.0, from_seed(seed))
+        std = gaussian_pair(0.0, 1.0, BitStream(seed))
+        shifted = gaussian_pair(5.0, 2.0, BitStream(seed))
         assert shifted.g1 == 5.0 + 2.0 * std.g1
         assert shifted.g2 == 5.0 + 2.0 * std.g2
 
 
 def test_gaussian_pair_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        gaussian_pair(0.0, 0.0, from_seed(1))
+        gaussian_pair(0.0, 0.0, BitStream(1))
     with pytest.raises(ValueError):
-        gaussian_pair(0.0, -1.0, from_seed(1))
+        gaussian_pair(0.0, -1.0, BitStream(1))
 
 
 def test_gaussian_sample_mean_band():
@@ -268,8 +268,22 @@ def test_spec_validation():
             spec()
 
 
+def test_gaussian_spec_rejects_scales_that_overflow_a_draw():
+    for mu, sigma in ((1e308, 1e308), (0.0, 1e308), (-1.7e308, 1e307)):
+        with pytest.raises(ValueError, match=r"\|mu\| \+ 9 sigma finite"):
+            RvPairSpec.gaussian(mu, sigma)
+    # the largest radius at depth 53, from u1 = 1 - 2**-53, stays finite at
+    # the largest accepted scale; u2 = 0.5 points it away from mu's sign
+    mu = -1e308
+    spec = RvPairSpec.gaussian(mu, (np.finfo(np.float64).max - 1e308) / 9.0, 53)
+    with np.errstate(all="raise"):
+        g1, g2 = _transform_pair(spec, 1.0 - 2.0**-53, 0.5)
+    assert math.isfinite(g1) and g1 < mu
+    assert math.isfinite(g2)
+
+
 def test_gaussian_pair_type_carries_parameters():
-    pair = gaussian_pair(-1.0, 0.5, from_seed(3))
+    pair = gaussian_pair(-1.0, 0.5, BitStream(3))
     assert isinstance(pair, GaussianPair)
     assert pair.mu == -1.0
     assert pair.sigma == 0.5

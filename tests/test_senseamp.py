@@ -63,6 +63,21 @@ def test_params_validation():
             SenseAmpParams(**values)
 
 
+def test_params_reject_overflowing_margins():
+    # every field is valid alone, but the standardized margins overflow
+    with pytest.raises(ValueError, match="noise_sigma"):
+        params(v=1e308, sigma=1e-308)
+    # the erfc argument v / (sqrt(2) sigma) overflows while the Q arguments
+    # do not: rejected at symmetric levels, where the closed form needs it
+    with pytest.raises(ValueError, match="noise_sigma"):
+        params(v=1e308, sigma=0.35, delta=1.0)
+    # asymmetric levels have no closed form, so the exact route still runs
+    result = evaluate(params(v_low=0.9e308, v_high=1e308, sigma=0.35, delta=1.0), 10, 1)
+    assert result.analytical is None
+    assert result.exact_cdf == 0.0
+    assert result.analytical_only
+
+
 def test_derived_quantities_scale_with_v_high():
     p = params(v=2.0, delta=0.4, chi=0.25)
     assert p.insensitivity_width == 0.4 * 2.0
