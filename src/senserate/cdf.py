@@ -16,12 +16,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .samplers import RvPairSpec
 
 # pairs per block for the batch kernels and CSV encoding: each temporary is
 # one block long, so the working set stays cache-sized at any sample size
@@ -35,16 +32,10 @@ _INDEPENDENCE_TOLERANCE = 0.01
 
 @dataclass(frozen=True)
 class SamplePairs:
-    """A finite, immutable collection of (x1, x2) pairs.
-
-    ``spec`` and ``seed`` record provenance when the pairs came from a
-    sampler; they are ``None`` for data loaded from CSV.
-    """
+    """A finite, immutable collection of (x1, x2) pairs, however obtained."""
 
     x1: np.ndarray
     x2: np.ndarray
-    spec: "RvPairSpec | None" = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         x1 = np.asarray(self.x1, dtype=np.float64)
@@ -171,21 +162,17 @@ _REFERENCE_SLACK = 1e-12
 def ks_statistic(values: Iterable[float], reference_cdf: Callable) -> float:
     """Two-sided Kolmogorov-Smirnov distance of a sample to a reference CDF.
 
-    ``reference_cdf`` should map an ndarray of sorted points to CDF values;
-    a plain scalar function is evaluated pointwise.  It must produce values
-    in [0, 1], non-decreasing, and not be flat at 0 or 1 across the whole
-    sample range.
+    ``reference_cdf`` must map the ndarray of sorted sample points to an
+    ndarray of CDF values of the same shape, in [0, 1], non-decreasing, and
+    not flat at 0 or 1 across the whole sample range.
     """
     xs = np.sort(np.asarray(values, dtype=np.float64).ravel())
     n = xs.size
     if n == 0:
         raise ValueError("sample must be non-empty")
-    try:
-        fv = np.asarray(reference_cdf(xs), dtype=np.float64)
-        if fv.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fv = np.asarray([float(reference_cdf(float(v))) for v in xs], dtype=np.float64)
+    fv = np.asarray(reference_cdf(xs), dtype=np.float64)
+    if fv.shape != xs.shape:
+        raise ValueError(f"reference_cdf must keep the sample's shape {xs.shape}, got {fv.shape}")
     if fv.min() < -_REFERENCE_SLACK or fv.max() > 1.0 + _REFERENCE_SLACK:
         raise ValueError("reference_cdf must take values in [0, 1]")
     if np.any(np.diff(fv) < -_REFERENCE_SLACK):
@@ -233,7 +220,7 @@ def samples_to_csv(samples: SamplePairs) -> str:
 
 
 def samples_from_csv(text: str) -> SamplePairs:
-    """Parse :func:`samples_to_csv` output; provenance fields are dropped."""
+    """Parse :func:`samples_to_csv` output back into the same pairs."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != ["x1", "x2"]:
@@ -248,6 +235,24 @@ def samples_from_csv(text: str) -> SamplePairs:
         col1.append(float(row[0]))
         col2.append(float(row[1]))
     return SamplePairs(x1=np.asarray(col1), x2=np.asarray(col2))
+
+
+def _exact(name: str, deviation: float, detail: str) -> PropertyCheck:
+    """A count-level check: it passes only when nothing deviates."""
+    return PropertyCheck(name=name, passed=deviation == 0.0, max_deviation=deviation, detail=detail)
+
+
+def _rectangles(rng: np.random.Generator, box1: tuple, box2: tuple, count: int) -> Iterator[tuple]:
+    """Up to ``count`` random rectangles ``(a, b, c, d)`` in ``box1 x box2``.
+
+    Every draw takes an x1 pair, then an x2 pair, before a degenerate one
+    (``a == b`` or ``c == d``) is skipped, so skips never move the sequence.
+    """
+    for _ in range(count):
+        a, b = sorted(rng.uniform(*box1, size=2).tolist())
+        c, d = sorted(rng.uniform(*box2, size=2).tolist())
+        if a < b and c < d:
+            yield a, b, c, d
 
 
 def run_property_audit(
@@ -270,82 +275,53 @@ def run_property_audit(
     lo2, hi2 = float(samples.x2.min()), float(samples.x2.max())
     span1 = (hi1 - lo1) or 1.0
     span2 = (hi2 - lo2) or 1.0
+    # probes come from the sample range widened by a tenth of its span
+    box1 = (lo1 - 0.1 * span1, hi1 + 0.1 * span1)
+    box2 = (lo2 - 0.1 * span2, hi2 + 0.1 * span2)
 
-    def _probe_axis(lo: float, hi: float, span: float, k: int) -> np.ndarray:
-        return rng.uniform(lo - 0.1 * span, hi + 0.1 * span, size=k)
-
-    checks: list[PropertyCheck] = []
-
-    px1 = _probe_axis(lo1, hi1, span1, n_probes)
-    px2 = _probe_axis(lo2, hi2, span2, n_probes)
+    px1 = rng.uniform(*box1, size=n_probes)
+    px2 = rng.uniform(*box2, size=n_probes)
     values = [joint_cdf(samples, a, b) for a, b in zip(px1, px2)]
-    dev = max(max(0.0 - min(values), 0.0), max(max(values) - 1.0, 0.0))
-    checks.append(
-        PropertyCheck(
-            name="bounds",
-            passed=dev == 0.0,
-            max_deviation=dev,
-            detail=f"0 <= F <= 1 on {n_probes} probe points",
-        )
-    )
+    bound_gap = max(0.0, -min(values), max(values) - 1.0)
+    checks = [_exact("bounds", bound_gap, f"0 <= F <= 1 on {n_probes} probe points")]
 
     worst = 0.0
-    for _ in range(n_probes):
-        a, b = sorted(_probe_axis(lo1, hi1, span1, 2).tolist())
-        c, d = sorted(_probe_axis(lo2, hi2, span2, 2).tolist())
-        if a == b or c == d:
-            continue
+    for a, b, c, d in _rectangles(rng, box1, box2, n_probes):
         fac = joint_cdf(samples, a, c)
         fbc = joint_cdf(samples, b, c)
         fbd = joint_cdf(samples, b, d)
         worst = max(worst, fac - fbc, fbc - fbd)
     checks.append(
-        PropertyCheck(
-            name="monotonicity",
-            passed=worst <= 0.0,
-            max_deviation=max(worst, 0.0),
-            detail=f"F(a,c) <= F(b,c) <= F(b,d) on {n_probes} random quadruples",
-        )
+        _exact("monotonicity", worst, f"F(a,c) <= F(b,c) <= F(b,d) on {n_probes} random quadruples")
     )
 
     top = joint_cdf(samples, hi1, hi2)
     checks.append(
-        PropertyCheck(
-            name="limit-at-upper-extreme",
-            passed=top == 1.0,
-            max_deviation=abs(top - 1.0),
-            detail="F at the sample maxima equals 1 exactly",
-        )
+        _exact("limit-at-upper-extreme", abs(top - 1.0), "F at the sample maxima equals 1 exactly")
     )
 
     below1 = joint_cdf(samples, lo1 - 0.5 * span1, hi2)
     below2 = joint_cdf(samples, hi1, lo2 - 0.5 * span2)
-    dev = max(below1, below2)
     checks.append(
-        PropertyCheck(
-            name="limit-below-minimum",
-            passed=dev == 0.0,
-            max_deviation=dev,
-            detail="F below the sample minimum in either coordinate equals 0",
+        _exact(
+            "limit-below-minimum",
+            max(below1, below2),
+            "F below the sample minimum in either coordinate equals 0",
         )
     )
 
+    # two separate count routes, so their agreement is not a tautology
     n = len(samples)
     worst_count = 0
-    for _ in range(n_rectangles):
-        a, b = sorted(_probe_axis(lo1, hi1, span1, 2).tolist())
-        c, d = sorted(_probe_axis(lo2, hi2, span2, 2).tolist())
-        if a == b or c == d:
-            continue
-        direct = round(interval_prob(samples, a, b, c, d) * n)
-        corners = round(interval_via_cdf(samples, a, b, c, d) * n)
+    for rect in _rectangles(rng, box1, box2, n_rectangles):
+        direct = round(interval_prob(samples, *rect) * n)
+        corners = round(interval_via_cdf(samples, *rect) * n)
         worst_count = max(worst_count, abs(direct - corners))
     checks.append(
-        PropertyCheck(
-            name="interval-identity",
-            passed=worst_count == 0,
-            max_deviation=float(worst_count),
-            detail=f"direct count equals corner combination on {n_rectangles} rectangles",
+        _exact(
+            "interval-identity",
+            float(worst_count),
+            f"direct count equals corner combination on {n_rectangles} rectangles",
         )
     )
 
@@ -355,12 +331,7 @@ def run_property_audit(
         cap = min(marginal_cdf_x1(samples, a), marginal_cdf_x2(samples, b))
         worst = max(worst, joint - cap)
     checks.append(
-        PropertyCheck(
-            name="event-containment",
-            passed=worst <= 0.0,
-            max_deviation=max(worst, 0.0),
-            detail="F(x1,x2) <= min(F1(x1), F2(x2)) on probe points",
-        )
+        _exact("event-containment", worst, "F(x1,x2) <= min(F1(x1), F2(x2)) on probe points")
     )
 
     report = independence_check(samples, quantile_grid(samples))

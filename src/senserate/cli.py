@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Iterable
 
@@ -120,7 +121,11 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"--values must be comma-separated floats, got {args.values!r}")
-    rows = senseamp.sweep(params, args.axis, values, n, seed)
+    # a warning reads like an error: the message alone, with no source location
+    with warnings.catch_warnings(record=True) as caught:
+        rows = senseamp.sweep(params, args.axis, values, n, seed)
+    for warning in caught:
+        sys.stderr.write(f"senserate: warning: {warning.message}\n")
     _emit([senseamp.sweep_to_csv(rows)], args.out)
     return 0
 

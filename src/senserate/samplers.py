@@ -171,36 +171,37 @@ def _each(itm):
 
 
 # kind -> (params check, what it requires, pair transform); the transforms
-# take scalars or arrays, and np.* keeps both results bit-identical
+# take scalars or arrays, and np.* keeps both results bit-identical.  Each
+# check bounds the largest draw, so no seed overflows: u < 1 keeps a draw
+# within width b - a of a, -log1p(-u) <= 53 ln 2 < 37, and a depth-n
+# Box-Muller radius is at most sqrt(2 * 53 * ln 2) < 9
 _PAIR_KINDS = {
     "standard-uniform-pair": (
         lambda p: not p, "no parameters", lambda p, u1, u2: (u1, u2)
     ),
-    # every depth-n radius is at most sqrt(2 * 53 * ln 2) < 9, so |mu| + 9 sigma
-    # bounds each draw and a finite bound means no seed overflows
     "gaussian-pair": (
         lambda p: len(p) == 2 and p[1] > 0.0 and math.isfinite(abs(p[0]) + 9.0 * p[1]),
         "(mu, sigma) with sigma > 0 and |mu| + 9 sigma finite",
         _gaussian,
     ),
     "uniform-pair": (
-        lambda p: len(p) == 2 and p[0] < p[1],
-        "(a, b) with a < b",
+        lambda p: len(p) == 2 and p[0] < p[1] and math.isfinite(p[1] - p[0]),
+        "(a, b) with a < b and b - a finite",
         _each(lambda p, u: (p[1] - p[0]) * u + p[0]),
     ),
     "exponential-pair": (
-        lambda p: len(p) == 1 and p[0] > 0.0,
-        "(rate,) with rate > 0",
+        lambda p: len(p) == 1 and p[0] > 0.0 and math.isfinite(37.0 / p[0]),
+        "(rate,) with rate > 0 and 37 / rate finite",
         _each(lambda p, u: -np.log1p(-u) / p[0]),
     ),
     "rayleigh-pair": (
-        lambda p: len(p) == 1 and p[0] > 0.0,
-        "(scale,) with scale > 0",
+        lambda p: len(p) == 1 and p[0] > 0.0 and math.isfinite(9.0 * p[0]),
+        "(scale,) with scale > 0 and 9 scale finite",
         _each(lambda p, u: p[0] * np.sqrt(-2.0 * np.log1p(-u))),
     ),
     "triangular-pair": (
-        lambda p: len(p) == 2 and p[0] < p[1],
-        "(lo, hi) with lo < hi",
+        lambda p: len(p) == 2 and p[0] < p[1] and math.isfinite(p[1] - p[0]),
+        "(lo, hi) with lo < hi and hi - lo finite",
         _each(lambda p, u: _triangular_itm(p[0], p[1], u)),
     ),
 }
@@ -315,4 +316,4 @@ def sample_many(spec: RvPairSpec, count: int, seed: int) -> SamplePairs:
         raise ValueError(f"count must be >= 1, got {count!r}")
     indices = np.arange(count, dtype=np.uint64)
     x1, x2 = draw_indices(spec, seed, indices)
-    return SamplePairs(x1=x1, x2=x2, spec=spec, seed=seed)
+    return SamplePairs(x1=x1, x2=x2)

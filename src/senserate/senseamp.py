@@ -17,8 +17,6 @@ pair per trial (component 1 drives line 1, component 2 line 2).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import warnings
@@ -308,20 +306,16 @@ def sweep(
     ]
 
 
+def _csv_field(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
 def sweep_to_csv(rows: list[tuple[float, SerResult]]) -> str:
     """Sweep rows as CSV; skipped Monte Carlo fields are left empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
-    for value, result in rows:
-        writer.writerow(
-            [
-                repr(float(value)),
-                "" if result.analytical is None else repr(result.analytical),
-                repr(result.exact_cdf),
-                "" if result.monte_carlo is None else repr(result.monte_carlo),
-                "" if result.mc_stderr is None else repr(result.mc_stderr),
-                result.n_samples,
-            ]
-        )
-    return buf.getvalue()
+    return ",".join(SWEEP_CSV_HEADER) + "\n" + "".join(
+        [
+            f"{float(value)!r},{_csv_field(r.analytical)},{r.exact_cdf!r},"
+            f"{_csv_field(r.monte_carlo)},{_csv_field(r.mc_stderr)},{r.n_samples}\n"
+            for value, r in rows
+        ]
+    )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from senserate import cdf
 from senserate.cdf import (
     SamplePairs,
     independence_check,
@@ -175,11 +176,8 @@ def test_ks_rejects_degenerate_reference():
         ks_statistic([0.1, 0.5], lambda x: -x)
     with pytest.raises(ValueError):
         ks_statistic([], lambda x: x)
-
-
-def test_ks_accepts_scalar_reference_function():
-    stat = ks_statistic([0.25, 0.5, 0.75], lambda x: min(max(float(x), 0.0), 1.0))
-    assert 0.0 < stat <= 0.25 + 1e-12
+    with pytest.raises(ValueError, match="shape"):
+        ks_statistic([0.1, 0.5, 0.9], lambda x: x[:-1])
 
 
 def test_ks_pvalue_behaviour():
@@ -199,7 +197,6 @@ def test_csv_round_trip_is_exact():
     back = samples_from_csv(text)
     assert np.array_equal(back.x1, samples.x1)
     assert np.array_equal(back.x2, samples.x2)
-    assert back.spec is None and back.seed is None
 
 
 def test_csv_rejects_malformed_input():
@@ -209,8 +206,15 @@ def test_csv_rejects_malformed_input():
         samples_from_csv("x1,x2\n1,2,3\n")
 
 
-def test_property_audit_passes_on_sampled_pairs():
+def test_property_audit_passes_on_sampled_pairs(monkeypatch):
     samples = sample_many(RvPairSpec.standard_uniform(), 20_000, 7)
+    rectangles = []
+
+    def recording(s, *rect):
+        rectangles.append(rect)
+        return interval_prob(s, *rect)
+
+    monkeypatch.setattr(cdf, "interval_prob", recording)
     checks = run_property_audit(samples, rng_seed=7, n_rectangles=200, n_probes=100)
     assert [c.name for c in checks] == [
         "bounds",
@@ -222,6 +226,21 @@ def test_property_audit_passes_on_sampled_pairs():
         "independence-factorization",
     ]
     assert all(c.passed for c in checks)
+    assert [c.max_deviation for c in checks[:-1]] == [0.0] * 6
+    assert checks[0].detail == "0 <= F <= 1 on 100 probe points"
+    assert checks[1].detail.endswith("on 100 random quadruples")
+    assert checks[4].detail.endswith("on 200 rectangles")
+    # the probe sequence: 100 points, then 100 quadruples and 200
+    # rectangles, each an x1 pair followed by an x2 pair
+    rng = np.random.default_rng(7)
+    boxes = []
+    for x in (samples.x1, samples.x2):
+        lo, hi = float(x.min()), float(x.max())
+        boxes.append((lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
+    rng.uniform(*boxes[0], size=100)
+    rng.uniform(*boxes[1], size=100)
+    draws = [[sorted(rng.uniform(*box, size=2).tolist()) for box in boxes] for _ in range(300)]
+    assert rectangles == [(a, b, c, d) for (a, b), (c, d) in draws[100:]]
 
 
 def test_property_audit_flags_dependent_pairs():
@@ -230,5 +249,7 @@ def test_property_audit_flags_dependent_pairs():
     checks = run_property_audit(comonotone, rng_seed=7, n_rectangles=50, n_probes=50)
     by_name = {c.name: c for c in checks}
     assert not by_name["independence-factorization"].passed
+    assert by_name["independence-factorization"].max_deviation > 0.01
     # the count-level identities still hold even for dependent data
-    assert by_name["interval-identity"].passed
+    assert all(c.passed and c.max_deviation == 0.0 for c in checks[:-1])
+    assert by_name["interval-identity"].detail.endswith("on 50 rectangles")

@@ -12,7 +12,7 @@ import senserate
 from senserate import cdf, cli
 from senserate.cdf import BLOCK_PAIRS, PropertyCheck, samples_from_csv
 from senserate.samplers import RvPairSpec, sample_many
-from senserate.senseamp import SenseAmpParams, evaluate
+from senserate.senseamp import SenseAmpParams, evaluate, sweep, sweep_to_csv
 
 SER_ARGS = [
     "ser", "--v-high", "3", "--v-low", "3", "--sigma", "1",
@@ -177,6 +177,29 @@ def test_cdf_props_passes_and_reports_each_property(capsys):
     assert any("interval-identity" in line for line in lines)
 
 
+def test_cdf_props_output_is_exact(capsys):
+    # the uniform kind calls no libm, so these bytes hold on every host
+    code, out, _ = run(
+        ["cdf-props", "--dist", "std-uniform-pair", "--n", "20000", "--seed", "7"], capsys
+    )
+    assert code == 0
+    assert out == (
+        "PASS bounds: max deviation 0 (0 <= F <= 1 on 200 probe points)\n"
+        "PASS monotonicity: max deviation 0"
+        " (F(a,c) <= F(b,c) <= F(b,d) on 200 random quadruples)\n"
+        "PASS limit-at-upper-extreme: max deviation 0"
+        " (F at the sample maxima equals 1 exactly)\n"
+        "PASS limit-below-minimum: max deviation 0"
+        " (F below the sample minimum in either coordinate equals 0)\n"
+        "PASS interval-identity: max deviation 0"
+        " (direct count equals corner combination on 1000 rectangles)\n"
+        "PASS event-containment: max deviation 0"
+        " (F(x1,x2) <= min(F1(x1), F2(x2)) on probe points)\n"
+        "PASS independence-factorization: max deviation 0.002975"
+        " (max |joint - product| over 5x5 quantile grid, tolerance 0.01)\n"
+    )
+
+
 def test_cdf_props_failure_exits_two(monkeypatch, capsys):
     failing = [PropertyCheck(name="bounds", passed=False, max_deviation=0.5, detail="x")]
     monkeypatch.setattr(cdf, "run_property_audit", lambda *a, **k: failing)
@@ -196,6 +219,23 @@ def test_sweep_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "axis_value,analytical,exact_cdf,monte_carlo,mc_stderr,n_samples"
     assert len(lines) == 3
+
+
+def test_sweep_warning_prints_the_message_alone(capsys):
+    base = SenseAmpParams(v_low=1.0, v_high=1.0, noise_sigma=0.25, delta=1.0, chi=1.0)
+    with pytest.warns(UserWarning, match="monotone"):
+        expected = sweep_to_csv(sweep(base, "snr", [1.0, 2.0], 100, 42))
+    code, out, err = run(
+        ["sweep", "--v-low", "1", "--v-high", "1", "--sigma", "0.25", "--delta", "1",
+         "--chi", "1", "--axis", "snr", "--values", "1,2", "--n", "100"],
+        capsys,
+    )
+    assert code == 0
+    assert out == expected
+    assert err == (
+        "senserate: warning: 1 - delta/2 - chi is negative: the analytical rate"
+        " need not be monotone along an snr sweep\n"
+    )
 
 
 def test_sweep_rejects_bad_values_list(capsys):

@@ -282,6 +282,30 @@ def test_gaussian_spec_rejects_scales_that_overflow_a_draw():
     assert math.isfinite(g2)
 
 
+def test_inverse_cdf_specs_reject_parameters_that_overflow_a_draw():
+    for spec, bound in (
+        (lambda: RvPairSpec.uniform(-1e308, 1e308), "b - a finite"),
+        (lambda: RvPairSpec.triangular(-1e308, 1e308), "hi - lo finite"),
+        (lambda: RvPairSpec.exponential(1e-308), "37 / rate finite"),
+        (lambda: RvPairSpec.exponential(5e-324), "37 / rate finite"),
+        (lambda: RvPairSpec.rayleigh(1e308), "9 scale finite"),
+    ):
+        with pytest.raises(ValueError, match=bound):
+            spec()
+    # the extreme draws, from u = 0 and u = 1 - 2**-53, stay finite at
+    # accepted parameters close to each bound
+    big = np.finfo(np.float64).max
+    for spec in (
+        RvPairSpec.uniform(-0.8e308, 0.9e308, 53),
+        RvPairSpec.triangular(-0.8e308, 0.9e308, 53),
+        RvPairSpec.exponential(37.0 / (0.99 * big), 53),
+        RvPairSpec.rayleigh(0.99 * big / 9.0, 53),
+    ):
+        with np.errstate(all="raise"):
+            draws = _transform_pair(spec, np.array([0.0, 1.0 - 2.0**-53]), np.array([0.5, 0.5]))
+        assert np.isfinite(draws).all(), spec.kind
+
+
 def test_gaussian_pair_type_carries_parameters():
     pair = gaussian_pair(-1.0, 0.5, BitStream(3))
     assert isinstance(pair, GaussianPair)
