@@ -145,8 +145,18 @@ def substream(seed: int, index: int) -> BitStream:
     return BitStream(substream_seed(seed, index))
 
 
-def substream_seeds_np(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`substream_seed` over a uint64 index array."""
-    _validate_seed(seed)
-    words = _words_np(np.uint64(seed), indices.astype(np.uint64))
+def substream_seeds_np(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`substream_seed` over a uint64 index array.
+
+    ``seed`` is one seed for every index, or a uint64 array of per-entry
+    seeds that broadcasts with ``indices``.
+    """
+    if isinstance(seed, np.ndarray):
+        if seed.dtype != np.uint64:
+            raise TypeError(f"a seed array must have dtype uint64, got {seed.dtype}")
+        seeds = seed
+    else:
+        _validate_seed(seed)
+        seeds = np.uint64(seed)
+    words = _words_np(seeds, indices.astype(np.uint64))
     return _mix64_np(words ^ np.uint64(_SUBSTREAM_SALT))

@@ -300,8 +300,10 @@ def run_property_audit(
         _exact("limit-at-upper-extreme", abs(top - 1.0), "F at the sample maxima equals 1 exactly")
     )
 
-    below1 = joint_cdf(samples, lo1 - 0.5 * span1, hi2)
-    below2 = joint_cdf(samples, hi1, lo2 - 0.5 * span2)
+    # the next float below each minimum, so the probe lies below the sample
+    # however narrow its span
+    below1 = joint_cdf(samples, math.nextafter(lo1, -math.inf), hi2)
+    below2 = joint_cdf(samples, hi1, math.nextafter(lo2, -math.inf))
     checks.append(
         _exact(
             "limit-below-minimum",

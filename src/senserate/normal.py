@@ -34,6 +34,12 @@ def phi(t):
 
 def _elementwise(f, x):
     """Apply the scalar ``f`` to a scalar or to each entry of an array."""
+    # a float goes straight to ``f``: the same bits as the 0-d array path,
+    # without its numpy overhead
+    if type(x) is float:
+        if not math.isfinite(x):
+            raise ValueError("argument must be finite")
+        return f(x)
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("argument must be finite")

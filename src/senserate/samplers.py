@@ -292,19 +292,26 @@ def _transform_pair(spec: RvPairSpec, u1, u2):
     return _PAIR_KINDS[spec.kind][2](spec.params, u1, u2)
 
 
-def draw_indices(spec: RvPairSpec, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def draw_indices(
+    spec: RvPairSpec, seed: int | np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Pairs for the given batch indices under ``(spec, seed)``.
 
     Entry ``i`` depends only on ``(seed, indices[i])``, so any partition of
-    an index range reproduces the unpartitioned result exactly.  The
-    indices are drawn :data:`~senserate.cdf.BLOCK_PAIRS` at a time into
-    preallocated outputs, so every temporary stays block-sized.
+    an index range reproduces the unpartitioned result exactly.  ``seed``
+    may also be a uint64 array of per-entry seeds, shaped like ``indices``;
+    entry ``i`` then reads ``(seed[i], indices[i])``.  The indices are
+    drawn :data:`~senserate.cdf.BLOCK_PAIRS` at a time into preallocated
+    outputs, so every temporary stays block-sized.
     """
+    if isinstance(seed, np.ndarray) and seed.shape != indices.shape:
+        raise ValueError(f"seed array shape {seed.shape} differs from indices {indices.shape}")
     x1 = np.empty(indices.shape, dtype=np.float64)
     x2 = np.empty(indices.shape, dtype=np.float64)
     for start in range(0, len(indices), BLOCK_PAIRS):
         block = slice(start, start + BLOCK_PAIRS)
-        subseeds = substream_seeds_np(seed, indices[block])
+        block_seed = seed[block] if isinstance(seed, np.ndarray) else seed
+        subseeds = substream_seeds_np(block_seed, indices[block])
         u1, u2 = _pair_uniforms(subseeds, spec.truncation_bits)
         x1[block], x2[block] = _transform_pair(spec, u1, u2)
     return x1, x2

@@ -20,12 +20,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import normal
-from .bitstream import substream_seed
+from .bitstream import _validate_seed, substream_seed
 from .normal import SQRT_2
 from .samplers import BLOCK_PAIRS, RvPairSpec, draw_indices
 
@@ -34,6 +35,14 @@ from .samplers import BLOCK_PAIRS, RvPairSpec, draw_indices
 DEEP_TAIL_CUTOFF = 1e-12
 
 SWEEP_CSV_HEADER = ("axis_value", "analytical", "exact_cdf", "monte_carlo", "mc_stderr", "n_samples")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    counts = Counter(key for key, _ in pairs)
+    duplicate = sorted(key for key, count in counts.items() if count > 1)
+    if duplicate:
+        raise ValueError(f"duplicate parameter keys: {', '.join(duplicate)}")
+    return dict(pairs)
 
 
 @dataclass(frozen=True)
@@ -86,8 +95,11 @@ class SenseAmpParams:
 
     @classmethod
     def from_json(cls, text: str) -> "SenseAmpParams":
-        """Parse a JSON object with exactly the five parameter keys."""
-        data = json.loads(text)
+        """Parse a JSON object with exactly the five parameter keys, each once."""
+        try:
+            data = json.loads(text, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("parameter file is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("parameter file must hold a JSON object")
         keys = [f.name for f in fields(cls)]
@@ -193,6 +205,58 @@ def ser_analytical(params: SenseAmpParams) -> float:
     return term_high + term_low
 
 
+def _mc_rows(
+    points: list[SenseAmpParams], seeds: list[int], n_samples: int, step: int = BLOCK_PAIRS
+) -> list[tuple[float, float]]:
+    """Monte Carlo ``(estimate, stderr)`` of each point, ``n_samples`` trials each.
+
+    Trial ``t`` of row ``r`` reads the derived stream of ``(seeds[r], t)``.
+    The rows' trials are drawn as one concatenated range, ``step`` at a
+    time, so a block may span rows and memory is bounded by one block.
+    Each hit is decided element by element with its own row's values, and
+    per-row hits are integer sums, so neither ``step`` nor the other rows
+    change any row's result.
+    """
+    for seed in seeds:
+        _validate_seed(seed)
+    spec = RvPairSpec.gaussian(0.0, 1.0)
+    hits = [[0, 0] for _ in points]
+    total = len(points) * n_samples
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        # (row, its part of this block) for every row the block overlaps
+        segments = [
+            (row, slice(max(row * n_samples, start) - start, min((row + 1) * n_samples, stop) - start))
+            for row in range(start // n_samples, (stop - 1) // n_samples + 1)
+        ]
+        trials = np.arange(start, stop, dtype=np.uint64)
+        for row, part in segments:
+            trials[part] -= np.uint64(row * n_samples)
+        if len(segments) == 1:
+            # a block inside one row draws under that row's seed alone, which
+            # measured a few percent faster than the seed repeated per entry
+            block_seed = seeds[segments[0][0]]
+        else:
+            block_seed = np.empty(stop - start, dtype=np.uint64)
+            for row, part in segments:
+                block_seed[part] = seeds[row]
+        g1, g2 = draw_indices(spec, block_seed, trials)
+        for row, part in segments:
+            params = points[row]
+            sigma = params.noise_sigma
+            low_edge = params.center_deviation - 0.5 * params.insensitivity_width
+            high_edge = params.center_deviation + 0.5 * params.insensitivity_width
+            hits[row][0] += int(np.count_nonzero(-params.v_low + sigma * g1[part] > low_edge))
+            hits[row][1] += int(np.count_nonzero(params.v_high + sigma * g2[part] <= high_edge))
+    results = []
+    for low, high in hits:
+        p1 = low / n_samples
+        p2 = high / n_samples
+        stderr = math.sqrt((p1 * (1.0 - p1) + p2 * (1.0 - p2)) / (4 * n_samples))
+        results.append(((low + high) / (2 * n_samples), stderr))
+    return results
+
+
 def ser_monte_carlo(
     params: SenseAmpParams,
     n_samples: int,
@@ -215,26 +279,33 @@ def ser_monte_carlo(
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    spec = RvPairSpec.gaussian(0.0, 1.0)
-    sigma = params.noise_sigma
-    low_edge = params.center_deviation - 0.5 * params.insensitivity_width
-    high_edge = params.center_deviation + 0.5 * params.insensitivity_width
-    step = chunk_size or BLOCK_PAIRS
-    hits_low = 0
-    hits_high = 0
-    for start in range(0, n_samples, step):
-        stop = min(start + step, n_samples)
-        indices = np.arange(start, stop, dtype=np.uint64)
-        g1, g2 = draw_indices(spec, seed, indices)
-        v1 = -params.v_low + sigma * g1
-        v2 = params.v_high + sigma * g2
-        hits_low += int(np.count_nonzero(v1 > low_edge))
-        hits_high += int(np.count_nonzero(v2 <= high_edge))
-    estimate = (hits_low + hits_high) / (2 * n_samples)
-    p1 = hits_low / n_samples
-    p2 = hits_high / n_samples
-    stderr = math.sqrt((p1 * (1.0 - p1) + p2 * (1.0 - p2)) / (4 * n_samples))
-    return estimate, stderr
+    return _mc_rows([params], [seed], n_samples, chunk_size or BLOCK_PAIRS)[0]
+
+
+def _evaluate_many(
+    points: list[SenseAmpParams], seeds: list[int], n_samples: int
+) -> list[SerResult]:
+    """All evaluation routes for each point; point ``i`` seeds its Monte Carlo with ``seeds[i]``.
+
+    The Monte Carlo rows of every point that is not ``analytical_only`` are
+    drawn together, in shared blocks, by one :func:`_mc_rows` call.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    routes = []
+    for params in points:
+        exact = ser_probabilistic(params)
+        analytical = ser_analytical(params) if params.v_low == params.v_high else None
+        reference = exact if analytical is None else analytical
+        routes.append((analytical, exact, reference < DEEP_TAIL_CUTOFF))
+    mc = [(p, seed) for p, seed, (*_, skip) in zip(points, seeds, routes) if not skip]
+    estimates = iter(_mc_rows([p for p, _ in mc], [seed for _, seed in mc], n_samples))
+    return [
+        SerResult(
+            analytical, exact, *((None, None) if skip else next(estimates)), n_samples, seed, skip
+        )
+        for seed, (analytical, exact, skip) in zip(seeds, routes)
+    ]
 
 
 def evaluate(params: SenseAmpParams, n_samples: int, seed: int) -> SerResult:
@@ -244,16 +315,7 @@ def evaluate(params: SenseAmpParams, n_samples: int, seed: int) -> SerResult:
     is below :data:`DEEP_TAIL_CUTOFF`, where no desk-scale sample size can
     resolve it.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    exact = ser_probabilistic(params)
-    analytical = ser_analytical(params) if params.v_low == params.v_high else None
-    reference = exact if analytical is None else analytical
-    analytical_only = reference < DEEP_TAIL_CUTOFF
-    estimate, stderr = (
-        (None, None) if analytical_only else ser_monte_carlo(params, n_samples, seed)
-    )
-    return SerResult(analytical, exact, estimate, stderr, n_samples, seed, analytical_only)
+    return _evaluate_many([params], [seed], n_samples)[0]
 
 
 def _snr_params(base: SenseAmpParams, value: float) -> SenseAmpParams:
@@ -300,10 +362,12 @@ def sweep(
             " monotone along an snr sweep",
             stacklevel=2,
         )
-    return [
-        (value, evaluate(point, n_samples, substream_seed(seed, row)))
-        for row, (value, point) in enumerate(points)
-    ]
+    results = _evaluate_many(
+        [point for _, point in points],
+        [substream_seed(seed, row) for row in range(len(points))],
+        n_samples,
+    )
+    return [(value, result) for (value, _), result in zip(points, results)]
 
 
 def _csv_field(value: float | None) -> str:

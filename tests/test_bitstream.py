@@ -147,6 +147,13 @@ def test_ones_fraction_near_half():
 def test_substream_scalar_vector_agree():
     seeds = substream_seeds_np(42, np.arange(100, dtype=np.uint64))
     assert [substream_seed(42, i) for i in range(100)] == [int(s) for s in seeds]
+    # one parent seed per entry
+    parents = np.array([0, 42, (1 << 64) - 1] * 4, dtype=np.uint64)
+    idx = np.arange(12, dtype=np.uint64)
+    expected = [substream_seed(int(p), int(i)) for p, i in zip(parents, idx)]
+    assert [int(s) for s in substream_seeds_np(parents, idx)] == expected
+    with pytest.raises(TypeError, match="uint64"):
+        substream_seeds_np(parents.astype(np.int64), idx)
 
 
 def test_substream_is_a_plain_stream():

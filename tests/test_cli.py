@@ -111,6 +111,25 @@ def test_ser_params_file_rejects_huge_integer(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ser_params_file_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "amp.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(["ser", "--params", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "senserate: error: parameter file is nested too deeply\n"
+
+
+def test_ser_params_file_rejects_duplicate_key(tmp_path, capsys):
+    path = tmp_path / "amp.json"
+    path.write_text('{"v_low": 3, "v_high": 3, "noise_sigma": 1, "delta": 0.2,'
+                    ' "chi": 0.1, "chi": 0.5}')
+    code, out, err = run(["ser", "--params", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "senserate: error: duplicate parameter keys: chi\n"
+
+
 def test_ser_params_file_conflicts_with_flags(tmp_path, capsys):
     path = tmp_path / "amp.json"
     path.write_text(json.dumps({"v_low": 3.0, "v_high": 3.0, "noise_sigma": 1.0,
@@ -198,6 +217,13 @@ def test_cdf_props_output_is_exact(capsys):
         "PASS independence-factorization: max deviation 0.002975"
         " (max |joint - product| over 5x5 quantile grid, tolerance 0.01)\n"
     )
+
+
+@pytest.mark.parametrize("spread", [["--mu", "1e308", "--sigma", "1e290"], ["--sigma", "5e-324"]])
+def test_cdf_props_probes_below_a_sample_an_ulp_wide(spread, capsys):
+    # half the span below the minimum rounds back onto the minimum here
+    _, out, _ = run(["cdf-props", "--n", "3", "--dist", "gaussian-pair", *spread], capsys)
+    assert "PASS limit-below-minimum: max deviation 0 " in out
 
 
 def test_cdf_props_failure_exits_two(monkeypatch, capsys):

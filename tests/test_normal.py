@@ -90,17 +90,24 @@ def test_q_deep_tail_relative_accuracy():
 
 
 def test_q_array_matches_scalar_bitwise():
-    xs = np.array([-5.0, -1.0, 0.0, 0.5, 3.0, 9.0, 12.0])
-    batch = q_function(xs)
-    singles = np.array([q_function(float(x)) for x in xs])
-    assert np.array_equal(batch, singles)
+    xs = np.array([-5.0, -1.0, 0.0, 0.5, 3.0, 9.0, 12.0, 37.0])
+    for f in (q_function, erfc):
+        batch = f(xs)
+        singles = np.array([f(float(x)) for x in xs])
+        assert np.array_equal(batch, singles)
+        # a float, a 0-d array and a 1-element array take different paths
+        for x in xs.tolist():
+            scalar = f(x)
+            assert type(scalar) is float
+            assert scalar.hex() == f(np.array(x)).hex() == float(f(np.array([x]))[0]).hex()
 
 
 def test_q_rejects_non_finite():
-    with pytest.raises(ValueError):
-        q_function(math.nan)
-    with pytest.raises(ValueError):
-        q_function(np.array([1.0, math.inf]))
+    for f in (q_function, erfc):
+        for bad in (math.nan, math.inf, -math.inf):
+            for arg in (bad, np.array(bad), np.array([1.0, bad])):
+                with pytest.raises(ValueError, match="finite"):
+                    f(arg)
 
 
 def test_erfc_values():

@@ -213,6 +213,16 @@ def test_draw_indices_is_unchanged_across_block_boundaries():
         direct = gaussian_pair(0.5, 2.0, substream(seed, i))
         assert (ref1[i], ref2[i]) == (direct.g1, direct.g2), i
 
+    # one seed per entry: entry k reads (seeds[k], k), across block edges too
+    seeds = np.where(longest % np.uint64(3) == 0, np.uint64(seed), np.uint64(99))
+    other1, other2 = draw_indices(spec, 99, longest)
+    x1, x2 = draw_indices(spec, seeds, longest)
+    mine = seeds == np.uint64(seed)
+    assert np.array_equal(x1, np.where(mine, ref1, other1))
+    assert np.array_equal(x2, np.where(mine, ref2, other2))
+    with pytest.raises(ValueError, match="shape"):
+        draw_indices(spec, seeds[:-1], longest)
+
     shifted = np.arange(70_000, 140_007, dtype=np.uint64)
     x1, x2 = draw_indices(spec, seed, shifted)
     ref1, ref2 = _draws_in_small_calls(spec, seed, shifted)

@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from senserate.bitstream import substream_seed
 from senserate.normal import q_function, q_reference
-from senserate.samplers import RvPairSpec, sample_many
+from senserate.samplers import BLOCK_PAIRS, RvPairSpec, sample_many
 from senserate.senseamp import (
     DEEP_TAIL_CUTOFF,
     SenseAmpParams,
@@ -20,6 +21,8 @@ from senserate.senseamp import (
     sweep,
     sweep_to_csv,
     _analytical_terms,
+    _evaluate_many,
+    _mc_rows,
 )
 
 # frozen oracle values (fixed-step quadrature rule, confirmed independently)
@@ -82,6 +85,16 @@ def test_derived_quantities_scale_with_v_high():
     p = params(v=2.0, delta=0.4, chi=0.25)
     assert p.insensitivity_width == 0.4 * 2.0
     assert p.center_deviation == 0.25 * 2.0
+
+
+def _with_peak(fn):
+    """``fn()`` and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_params_json_round_trip():
@@ -203,15 +216,55 @@ def test_monte_carlo_chunking_is_invisible():
 
 def test_monte_carlo_memory_is_bounded():
     p = params(v=1.0, delta=0.2, chi=0.1)
-    tracemalloc.start()
-    try:
-        default = ser_monte_carlo(p, 1_000_000, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    default, peak = _with_peak(lambda: ser_monte_carlo(p, 1_000_000, 1))
     # one million trials held at once would take about 80 MB
     assert peak <= 16 * 2**20, peak
     assert default == ser_monte_carlo(p, 1_000_000, 1, chunk_size=1_000_000)
+
+
+def _reference_mc(p, n, seed):
+    """One row by the per-row loop: all ``n`` trials in one draw, counted apart."""
+    g = sample_many(RvPairSpec.gaussian(0.0, 1.0), n, seed)
+    low_edge = p.center_deviation - 0.5 * p.insensitivity_width
+    high_edge = p.center_deviation + 0.5 * p.insensitivity_width
+    hits_low = int(np.count_nonzero(-p.v_low + p.noise_sigma * g.x1 > low_edge))
+    hits_high = int(np.count_nonzero(p.v_high + p.noise_sigma * g.x2 <= high_edge))
+    p1, p2 = hits_low / n, hits_high / n
+    stderr = math.sqrt((p1 * (1.0 - p1) + p2 * (1.0 - p2)) / (4 * n))
+    return (hits_low + hits_high) / (2 * n), stderr
+
+
+@pytest.mark.parametrize("n", [70_001, 3, 1])
+def test_rows_drawn_together_equal_each_row_alone(n):
+    # rows 1 and 3 are analytical_only; at n = 70 001 the three Monte Carlo
+    # rows meet inside the second and third blocks
+    points = [
+        params(v=1.0, delta=0.2, chi=0.1),
+        params(v=12.0),
+        params(v_low=2.0, v_high=3.0, delta=0.3, chi=0.05),
+        params(v_low=0.9e308, v_high=1e308, sigma=0.35, delta=1.0),
+        params(v=0.5, chi=1.0),
+    ]
+    seeds = [substream_seed(11, row) for row in range(len(points))]
+    together = _evaluate_many(points, seeds, n)
+    assert together == [evaluate(p, n, seed) for p, seed in zip(points, seeds)]
+    assert [r.analytical_only for r in together] == [False, True, False, True, False]
+    mc_points = [(p, seed) for p, seed, r in zip(points, seeds, together) if not r.analytical_only]
+    expected = [_reference_mc(p, n, seed) for p, seed in mc_points]
+    assert [(r.monte_carlo, r.mc_stderr) for r in together if not r.analytical_only] == expected
+    # blocks smaller than a row, spanning rows, and at small n of one trial
+    steps = [4999, 2 * n + 1] + ([1] if n <= 3 else [])
+    for step in steps:
+        assert _mc_rows(*zip(*mc_points), n, step) == expected
+
+
+def test_sweep_memory_is_one_block():
+    base = params(v=3.0, delta=0.2, chi=0.1)
+    _, block = _with_peak(lambda: ser_monte_carlo(base, BLOCK_PAIRS, 1))
+    # sweep-tail's axis: 768 Monte Carlo rows of 1000 trials, 12 blocks
+    snr = [k / 100 for k in range(100, 1601)]
+    _, peak = _with_peak(lambda: sweep(base, "snr", snr, 1000, 42))
+    assert peak <= 1.5 * block, (peak, block)
 
 
 def test_monte_carlo_covers_true_rate():
@@ -295,6 +348,38 @@ def test_evaluate_asymmetric_levels_fall_back_to_exact_cdf():
     assert result.analytical is None
     assert 0.0 <= result.exact_cdf <= 1.0
     assert result.monte_carlo is not None
+
+
+def test_evaluate_is_invariant_under_power_of_two_scaling():
+    # scaling every voltage by 2**k is exact in float64 and leaves every
+    # standardized margin and every drawn trial's decision as it was
+    points = [
+        params(v=1.0, delta=0.2, chi=0.1),
+        params(v_low=2.0, v_high=3.0, delta=0.3, chi=0.05),
+        params(v=3.0, sigma=0.7, delta=1.0, chi=0.3),
+        params(v=12.0),
+    ]
+    for base in points:
+        expected = evaluate(base, 2000, 7)
+        for k in range(-20, 21):
+            scale = 2.0**k
+            scaled = replace(
+                base,
+                v_low=base.v_low * scale,
+                v_high=base.v_high * scale,
+                noise_sigma=base.noise_sigma * scale,
+            )
+            assert evaluate(scaled, 2000, 7) == expected, (base, k)
+
+
+def test_rates_never_fall_as_delta_grows():
+    # at one seed the draws stay the same, and a wider band only adds hits
+    deltas = [k / 20 for k in range(21)]
+    for v, chi in ((1.0, 0.0), (2.0, 0.1), (3.0, 0.3), (2.5, 1.0)):
+        results = [evaluate(params(v=v, delta=d, chi=chi), 5000, 3) for d in deltas]
+        for a, b in zip(results, results[1:]):
+            assert b.monte_carlo >= a.monte_carlo, (v, chi)
+            assert b.exact_cdf >= a.exact_cdf, (v, chi)
 
 
 def test_sweep_single_value_matches_direct_calls():
